@@ -68,11 +68,13 @@ def main():
         log(f"perfbench: build failed: {e}")
         return 1
 
+    # The native engine's kernel cache: every executor with an empty
+    # ExecOptions::NativeCacheDir (all of them, since the workloads keep
+    # the default options) uses this fresh directory.
     jit_dir = tempfile.mkdtemp(prefix="jit-", dir=build_root)
     env["SYSTEC_JIT_CACHE_DIR"] = jit_dir
     cmd = [exe, "--workload", args.workload, "--seed", str(args.seed),
-           "--seconds", str(args.seconds), "--trace", str(args.trace),
-           "--jit-dir", jit_dir]
+           "--seconds", str(args.seconds), "--trace", str(args.trace)]
     if args.trace:
         traces = os.path.join(build_root, "traces")
         os.makedirs(traces, exist_ok=True)

@@ -35,9 +35,6 @@ struct RunConfig {
   uint64_t Seed = 1;
   double Seconds = 10;
   bool Trace = false;
-  /// Fresh per-run directory for the native engine's .so cache;
-  /// perfbench/run.py creates it and deletes it after the run.
-  std::string JitDir;
   /// Where the traced run writes its spans (Chrome trace JSON).
   std::string TraceOut;
   /// Self-check of the output verification: corrupt the output of every

@@ -345,10 +345,10 @@ Result runKernels(const RunConfig &Cfg, unsigned Threads,
       }
 
       // The native engine alone: cold compile into the fresh per-run
-      // cache directory, timed runs, then a warm load from disk.
+      // cache directory (SYSTEC_JIT_CACHE_DIR, which main() requires),
+      // timed runs, then a warm load from disk.
       ExecOptions NatOpts = Opts;
       NatOpts.Engines = {Engine::Native};
-      NatOpts.NativeCacheDir = Cfg.JitDir;
       auto Nat = prepareExec(K.Exec->kernel(), *K.C, K.Out, NatOpts, T);
       if (!Nat)
         continue;

@@ -7,17 +7,18 @@
 /// cache capacity) with skewed popularity: 24 hot structures carry 95%
 /// of the requests (Zipf s=0.5 among them), 24 cold ones the other 5%.
 /// Most requests are therefore plan-cache rebind hits and a steady few
-/// percent pay a compile. Two phases:
+/// percent pay a compile. Two phases, run in alternating segments:
 ///  - open loop at a fixed offered rate: one generator thread submits
-///    each request at its due instant, one collector thread waits in
-///    submission order and stamps each completion as it happens;
+///    each request at its due instant, one collector thread polls every
+///    outstanding handle and stamps each completion as it happens;
 ///    latency runs from the due instant, so generator lateness and
 ///    queueing both count;
 ///  - closed loop: as many clients as service workers, each keeping
 ///    one request outstanding; its completions per second are the
 ///    saturated throughput.
 /// Generator + collector (or the two clients) + two workers = 4 threads,
-/// the machine's core count.
+/// the machine's core count. The latency and throughput metrics are
+/// medians over the windows with the least host steal (quietMedian).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -33,7 +34,7 @@
 #include <cmath>
 #include <condition_variable>
 #include <cstdio>
-#include <deque>
+#include <iterator>
 #include <random>
 #include <thread>
 
@@ -43,9 +44,26 @@ namespace perfbench {
 
 namespace {
 
+/// 1.5x the default plan-cache capacity (32). The 24 hot structures fit
+/// the cache together, so their plans stay warm; the 24 cold ones share
+/// the other 8 slots and nearly always miss. Their 5% share, plus
+/// requests whose plan another in-flight request has checked out, gives
+/// the steady few percent of compile misses the workload is after
+/// (about 5.5% of open-loop requests measured). Among the hot ones the
+/// skew is a mild Zipf (s=0.5): the least popular still gets 2.3% of
+/// the requests, so none of them ages out of the LRU. The traffic is
+/// synthetic: these are design choices, not a recorded trace.
 constexpr unsigned NumStructures = 48;
 constexpr unsigned HotStructures = 24;
 constexpr double ColdShare = 0.05;
+/// Set by what the admission queue can absorb, not by throughput. The
+/// host sometimes stalls the whole process (up to 62 ms seen); the
+/// generator then sends the overdue requests at once, and the queue
+/// (limit 64) must hold them or the rejections count as errors. At
+/// 800 req/s it holds 80 ms of arrivals. That is 28% of the closed
+/// loop's saturated_rps (median 2,820 req/s over 30 runs with under 2%
+/// host steal). At 1,400 req/s, half of saturation, one run in about 40
+/// had requests rejected after such a stall.
 constexpr double OfferedRps = 800;
 /// Open-loop latency quantiles are taken per window of this many
 /// requests (p99 then has 10 samples beyond it) and the median window
@@ -55,6 +73,12 @@ constexpr size_t OpenWindow = 1000;
 /// Closed-loop throughput is measured per window of this many
 /// completions, and the median window is reported.
 constexpr size_t ClosedWindow = 1000;
+/// The run alternates open-loop segments of this many windows (2.5 s at
+/// the offered rate) with closed-loop segments of this length, so both
+/// phases sample the whole run: a host slowdown lasting a few seconds
+/// then falls on both, instead of on whichever phase it overlapped.
+constexpr size_t OpenSegmentWindows = 2;
+constexpr double ClosedSegmentSeconds = 1.25;
 constexpr unsigned SetupReps = 7;
 /// One response in this many (seeded) is checked against src/baselines.
 constexpr unsigned CheckOneIn = 8;
@@ -158,8 +182,8 @@ private:
     return &Res;
   }
 
-  /// Records a request the caller stamped finished at \p Done, then
-  /// checks its output if the seed samples it.
+  /// Records a request the caller stamped finished at \p Done. The
+  /// output check is separate (verify) so the open loop can defer it.
   Outcome finish(Pending &P, const RequestResult *Res,
                  Clock::time_point Done) {
     Outcome O;
@@ -185,18 +209,35 @@ private:
     O.EpilogueMs = phaseMs(Res->Report, "epilogue");
     if (Tracer::get().enabled())
       O.Report = Res->Report;
-    if (P.Seq % CheckOneIn == Cfg.Seed % CheckOneIn) {
-      const uint64_t N = ++Checked;
-      if (Cfg.CorruptEvery && N % Cfg.CorruptEvery == 0)
-        corrupt(*P.Out, N);
-      if (!matchesReference(*Cases[P.Structure], *P.Out)) {
-        std::fprintf(stderr, "%s: response differs from the src/baselines "
-                             "reference\n",
-                     Cases[P.Structure]->Kernel.c_str());
-        ++Failed;
-        O.Ok = false;
-      }
+    return O;
+  }
+
+  /// Whether the seed samples \p O's output for checking.
+  bool sampled(const Outcome &O) const {
+    return O.Ok && O.Seq % CheckOneIn == Cfg.Seed % CheckOneIn;
+  }
+
+  /// Checks the output of a sampled request against src/baselines; a
+  /// mismatch counts as a failure and marks \p O not ok.
+  void verify(Pending &P, Outcome &O) {
+    const uint64_t N = ++Checked;
+    if (Cfg.CorruptEvery && N % Cfg.CorruptEvery == 0)
+      corrupt(*P.Out, N);
+    if (!matchesReference(*Cases[P.Structure], *P.Out)) {
+      std::fprintf(stderr, "%s: response differs from the src/baselines "
+                           "reference\n",
+                   Cases[P.Structure]->Kernel.c_str());
+      ++Failed;
+      O.Ok = false;
     }
+  }
+
+  /// finish, then verify if sampled.
+  Outcome finishAndVerify(Pending &P, const RequestResult *Res,
+                          Clock::time_point Done) {
+    Outcome O = finish(P, Res, Done);
+    if (sampled(O))
+      verify(P, O);
     return O;
   }
 
@@ -217,17 +258,23 @@ private:
         P.H = Svc->submit(request(I, *P.Out));
       }
       const RequestResult *Res = waitFor(P, S.index());
-      finish(P, Res, Clock::now());
+      finishAndVerify(P, Res, Clock::now());
     }
     return msBetween(T0, Clock::now()) / 1e3;
   }
 
-  std::vector<Outcome> openLoop(double Seconds);
-  double closedLoop(double Seconds, std::vector<Outcome> &Outs);
+  std::vector<Outcome> openLoop(size_t Base, size_t N,
+                                std::vector<uint64_t> &WindowSteal);
+  void closedLoop(double Seconds, std::vector<Outcome> &Outs,
+                  std::vector<double> &Rates, std::vector<uint64_t> &Steal);
 };
 
-std::vector<Outcome> ServiceBench::openLoop(double Seconds) {
-  const size_t N = size_t(Seconds * OfferedRps);
+/// Sends \p N requests on the open-loop schedule; they are numbered from
+/// \p Base, so request numbers (and latency windows) run on across
+/// segments. Appends the host steal (jiffies) of each window it sends.
+std::vector<Outcome>
+ServiceBench::openLoop(size_t Base, size_t N,
+                       std::vector<uint64_t> &WindowSteal) {
   std::vector<unsigned> Seq(N);
   for (unsigned &S : Seq)
     S = Pick(Draw);
@@ -237,28 +284,53 @@ std::vector<Outcome> ServiceBench::openLoop(double Seconds) {
 
   std::mutex Mu;
   std::condition_variable Cv;
-  std::deque<Pending> Queue;
+  std::vector<Pending> Handoff; // sent, not yet seen by the collector
   bool Done = false;
+  // The collector polls every outstanding handle on each pass and stamps
+  // each one the moment it reports done, in whatever order the two
+  // workers finish them. Sampled outputs are checked only while nothing
+  // is outstanding; a request sent during a check is stamped after it.
   std::thread Collector([&] {
+    std::vector<Pending> Outstanding, ToCheck;
     for (;;) {
-      Pending P{0, 0, false, {}, {}, nullptr,
-                Status::error(ErrCode::Internal, "unsent")};
       {
         std::unique_lock<std::mutex> L(Mu);
-        Cv.wait(L, [&] { return !Queue.empty() || Done; });
-        if (Queue.empty())
+        if (Outstanding.empty() && ToCheck.empty())
+          Cv.wait(L, [&] { return !Handoff.empty() || Done; });
+        if (Outstanding.empty() && ToCheck.empty() && Handoff.empty())
           return;
-        P = std::move(Queue.front());
-        Queue.pop_front();
+        for (Pending &P : Handoff)
+          Outstanding.push_back(std::move(P));
+        Handoff.clear();
       }
-      const RequestResult *Res = waitFor(P, PhaseIdx);
-      const Clock::time_point Stamp = Clock::now();
-      Outs[P.Seq] = finish(P, Res, Stamp);
+      for (size_t I = 0; I < Outstanding.size();) {
+        Pending &P = Outstanding[I];
+        if (P.H.ok() && !P.H->done()) {
+          ++I;
+          continue;
+        }
+        const Clock::time_point Stamp = Clock::now();
+        Outcome &O = Outs[P.Seq - Base];
+        // The handle is done, so waitFor returns at once.
+        O = finish(P, waitFor(P, PhaseIdx), Stamp);
+        if (sampled(O))
+          ToCheck.push_back(std::move(P));
+        if (I + 1 < Outstanding.size())
+          Outstanding[I] = std::move(Outstanding.back());
+        Outstanding.pop_back();
+      }
+      if (Outstanding.empty() && !ToCheck.empty()) {
+        verify(ToCheck.back(), Outs[ToCheck.back().Seq - Base]);
+        ToCheck.pop_back();
+      } else if (!Outstanding.empty()) {
+        std::this_thread::yield();
+      }
     }
   });
 
   const Clock::time_point Start = Clock::now() + std::chrono::milliseconds(5);
   const auto Gap = std::chrono::duration<double>(1.0 / OfferedRps);
+  std::vector<uint64_t> Marks; // steal counter at each window's start
   for (size_t I = 0; I < N; ++I) {
     const Clock::time_point Due =
         Start + std::chrono::duration_cast<Clock::duration>(Gap * double(I));
@@ -270,21 +342,29 @@ std::vector<Outcome> ServiceBench::openLoop(double Seconds) {
     }
     // The traced run alternates spans on and off per window, so the
     // tracing overhead compares windows that saw the same machine.
-    if (Cfg.Trace && I % OpenWindow == 0)
-      Tracer::get().enable((I / OpenWindow) % 2 == 0);
-    Pending P{I, Seq[I], Tracer::get().enabled(), Due, {},
+    const size_t G = Base + I;
+    if (Cfg.Trace && G % OpenWindow == 0)
+      Tracer::get().enable((G / OpenWindow) % 2 == 0);
+    Pending P{G, Seq[I], Tracer::get().enabled(), Due, {},
               std::make_unique<Tensor>(Cases[Seq[I]]->freshOutput()),
               Status::error(ErrCode::Internal, "unsent")};
     ++Attempted;
     {
-      Span Sub("submit", "req" + std::to_string(I), PhaseIdx);
+      Span Sub("submit", "req" + std::to_string(G), PhaseIdx);
       P.Sent = Clock::now();
       P.H = Svc->submit(request(Seq[I], *P.Out));
     }
-    std::lock_guard<std::mutex> L(Mu);
-    Queue.push_back(std::move(P));
-    Cv.notify_one();
+    {
+      std::lock_guard<std::mutex> L(Mu);
+      Handoff.push_back(std::move(P));
+      Cv.notify_one();
+    }
+    if (G % OpenWindow == 0)
+      Marks.push_back(cpuTimes().Steal);
   }
+  Marks.push_back(cpuTimes().Steal);
+  for (size_t W = 0; W + 1 < Marks.size(); ++W)
+    WindowSteal.push_back(Marks[W + 1] - Marks[W]);
   {
     std::lock_guard<std::mutex> L(Mu);
     Done = true;
@@ -294,7 +374,12 @@ std::vector<Outcome> ServiceBench::openLoop(double Seconds) {
   return Outs;
 }
 
-double ServiceBench::closedLoop(double Seconds, std::vector<Outcome> &Outs) {
+/// Runs the closed loop for \p Seconds, appends its outcomes to \p Outs,
+/// the completion rate of each of its windows to \p Rates, and the
+/// segment's host steal (jiffies) to \p Steal once per window.
+void ServiceBench::closedLoop(double Seconds, std::vector<Outcome> &Outs,
+                              std::vector<double> &Rates,
+                              std::vector<uint64_t> &Steal) {
   const unsigned Clients = ServiceOptions().Workers;
   // The structure sequence is drawn up front so it depends on the seed
   // only, not on which client got there first.
@@ -303,8 +388,10 @@ double ServiceBench::closedLoop(double Seconds, std::vector<Outcome> &Outs) {
     S = Pick(Draw);
   std::atomic<size_t> Next{0};
   std::mutex OutMu;
+  std::vector<Outcome> Seg;
   Span Phase("closed-loop", std::to_string(Clients) + " outstanding");
   const int64_t PhaseIdx = Phase.index();
+  const uint64_t Steal0 = cpuTimes().Steal;
   const Clock::time_point Start = Clock::now();
   const Clock::time_point Stop =
       Start + std::chrono::duration_cast<Clock::duration>(
@@ -327,38 +414,59 @@ double ServiceBench::closedLoop(double Seconds, std::vector<Outcome> &Outs) {
           P.H = Svc->submit(request(Seq[I], *P.Out));
         }
         const RequestResult *Res = waitFor(P, PhaseIdx);
-        Mine.push_back(finish(P, Res, Clock::now()));
+        Mine.push_back(finishAndVerify(P, Res, Clock::now()));
       }
       std::lock_guard<std::mutex> L(OutMu);
       for (Outcome &O : Mine)
-        Outs.push_back(std::move(O));
+        Seg.push_back(std::move(O));
     });
   for (std::thread &T : Pool)
     T.join();
+  const uint64_t SegSteal = cpuTimes().Steal - Steal0;
   // Completion rate over consecutive windows of ClosedWindow
   // completions; the median window is robust to the scheduler stalls
   // of a shared machine.
   std::vector<Clock::time_point> Done;
-  for (const Outcome &O : Outs)
+  for (Outcome &O : Seg) {
     if (O.Ok)
       Done.push_back(O.Done);
+    Outs.push_back(std::move(O));
+  }
   std::sort(Done.begin(), Done.end());
-  // A phase too short for four full windows uses quarter-phase ones.
+  // A segment too short for four full windows uses quarter-segment ones.
   const size_t Window =
       std::max<size_t>(1, std::min(ClosedWindow, Done.size() / 4));
-  std::vector<double> Rates;
   Clock::time_point From = Start;
   for (size_t I = Window; I <= Done.size(); I += Window) {
     Rates.push_back(double(Window) / (msBetween(From, Done[I - 1]) / 1e3));
+    Steal.push_back(SegSteal);
     From = Done[I - 1];
   }
-  return median(Rates);
 }
 
-/// Median over consecutive windows of OpenWindow requests of each
-/// window's latency quantile \p Q (completed requests only). \p Traced
-/// selects the windows sent with spans on (1) or off (0); -1 takes all.
-double windowedLatency(const std::vector<Outcome> &Open, double Q,
+/// Median of \p Values over the windows whose host steal (\p Steal,
+/// same index) is at most the median steal: the quieter half of the
+/// windows, or all of them on a host that steals nothing. A window in
+/// which the hypervisor ran other guests on this machine's CPUs measures
+/// the host: its p99 latency was 2-10x that of a steal-free window of
+/// the same run.
+double quietMedian(const std::vector<double> &Values,
+                   const std::vector<uint64_t> &Steal) {
+  const double Limit =
+      median(std::vector<double>(Steal.begin(), Steal.end()));
+  std::vector<double> Quiet;
+  for (size_t I = 0; I < Values.size(); ++I)
+    if (double(Steal[I]) <= Limit)
+      Quiet.push_back(Values[I]);
+  return median(Quiet);
+}
+
+/// Over consecutive windows of OpenWindow requests, the quiet median
+/// (quietMedian) of each window's latency quantile \p Q (completed
+/// requests only). \p Traced selects the windows sent with spans on (1)
+/// or off (0); -1 takes all.
+double windowedLatency(const std::vector<Outcome> &Open,
+                       const std::vector<uint64_t> &WindowSteal, double Q,
                        int Traced = -1) {
   std::vector<std::vector<double>> Windows((Open.size() + OpenWindow - 1) /
                                            OpenWindow);
@@ -366,10 +474,13 @@ double windowedLatency(const std::vector<Outcome> &Open, double Q,
     if (O.Ok && (Traced < 0 || O.Traced == (Traced == 1)))
       Windows[O.Seq / OpenWindow].push_back(O.LatencyMs);
   std::vector<double> PerWindow;
-  for (const std::vector<double> &W : Windows)
-    if (W.size() * 2 > OpenWindow)
-      PerWindow.push_back(quantile(W, Q));
-  return median(PerWindow);
+  std::vector<uint64_t> Steal;
+  for (size_t I = 0; I < Windows.size(); ++I)
+    if (Windows[I].size() * 2 > OpenWindow) {
+      PerWindow.push_back(quantile(Windows[I], Q));
+      Steal.push_back(WindowSteal[I]);
+    }
+  return quietMedian(PerWindow, Steal);
 }
 
 /// Geomean over the hot structures of each structure's quantile \p Q of
@@ -408,10 +519,21 @@ Result ServiceBench::run() {
   const KernelService::Stats Before = Svc->stats();
   // Two thirds of the time go to the open loop, whose tail needs the
   // most samples.
-  std::vector<Outcome> Open = openLoop(Cfg.Seconds * 2 / 3);
-  Tracer::get().enable(Cfg.Trace);
-  std::vector<Outcome> Closed;
-  const double Rps = closedLoop(Cfg.Seconds / 3, Closed);
+  const size_t SegmentRequests = OpenSegmentWindows * OpenWindow;
+  const double CycleSeconds =
+      double(SegmentRequests) / OfferedRps + ClosedSegmentSeconds;
+  const size_t Cycles = std::max<size_t>(1, size_t(Cfg.Seconds / CycleSeconds));
+  std::vector<Outcome> Open, Closed;
+  std::vector<double> Rates;
+  std::vector<uint64_t> OpenSteal, ClosedSteal;
+  for (size_t C = 0; C < Cycles; ++C) {
+    std::vector<Outcome> Seg =
+        openLoop(C * SegmentRequests, SegmentRequests, OpenSteal);
+    std::move(Seg.begin(), Seg.end(), std::back_inserter(Open));
+    Tracer::get().enable(Cfg.Trace);
+    closedLoop(ClosedSegmentSeconds, Closed, Rates, ClosedSteal);
+  }
+  const double Rps = quietMedian(Rates, ClosedSteal);
   const KernelService::Stats After = Svc->stats();
 
   std::vector<double> Lat, Lag;
@@ -422,10 +544,10 @@ Result ServiceBench::run() {
       Lat.push_back(O.LatencyMs);
     Lag.push_back(O.LagMs);
   }
-  std::printf("open loop: %zu requests at %.0f req/s offered, latency p50 "
-              "%.3f ms p99 %.3f ms, generator late p50 %.3f ms p99 %.3f ms "
-              "max %.3f ms\n",
-              Open.size(), OfferedRps, quantile(Lat, 0.5),
+  std::printf("open loop: %zu requests in %zu segments at %.0f req/s "
+              "offered, latency p50 %.3f ms p99 %.3f ms, generator late p50 "
+              "%.3f ms p99 %.3f ms max %.3f ms\n",
+              Open.size(), Cycles, OfferedRps, quantile(Lat, 0.5),
               quantile(Lat, 0.99), quantile(Lag, 0.5), quantile(Lag, 0.99),
               quantile(Lag, 1.0));
   {
@@ -441,9 +563,16 @@ Result ServiceBench::run() {
                 quantile(HitLat, 0.99), MissLat.size(), quantile(MissLat, 0.5),
                 quantile(MissLat, 0.99));
   }
-  std::printf("closed loop: %zu requests, median over windows of up to %zu "
-              "completions %.0f req/s\n",
-              Closed.size(), ClosedWindow, Rps);
+  std::printf("closed loop: %zu requests in %zu segments, quiet median over "
+              "%zu windows of up to %zu completions %.0f req/s\n",
+              Closed.size(), Cycles, Rates.size(), ClosedWindow, Rps);
+  std::printf("host steal (jiffies) per open-loop window:");
+  for (uint64_t J : OpenSteal)
+    std::printf(" %llu", (unsigned long long)J);
+  std::printf("; per closed-loop window:");
+  for (uint64_t J : ClosedSteal)
+    std::printf(" %llu", (unsigned long long)J);
+  std::printf("\n");
   const uint64_t Hits = After.Cache.Hits - Before.Cache.Hits;
   const uint64_t Misses = After.Cache.Misses - Before.Cache.Misses;
   std::printf("plan cache: %llu hits, %llu misses, %llu evictions\n",
@@ -452,15 +581,15 @@ Result ServiceBench::run() {
                                    Before.Cache.Evictions));
 
   if (!Cfg.Trace) {
-    Res.set("latency_ms_p50", windowedLatency(Open, 0.5), "ms");
-    Res.set("latency_ms_p99", windowedLatency(Open, 0.99), "ms");
+    Res.set("latency_ms_p50", windowedLatency(Open, OpenSteal, 0.5), "ms");
+    Res.set("latency_ms_p99", windowedLatency(Open, OpenSteal, 0.99), "ms");
     Res.set("saturated_rps", Rps, "req/s");
     Res.set("run_ms_p50", runMs(Open, 0.5), "ms");
     Res.set("run_ms_p90", runMs(Open, 0.9), "ms");
   } else {
-    const double Untraced = windowedLatency(Open, 0.5, 0);
-    Res.set("obs.tracing_overhead",
-            Untraced > 0 ? windowedLatency(Open, 0.5, 1) / Untraced - 1 : 0,
+    const double Untraced = windowedLatency(Open, OpenSteal, 0.5, 0);
+    const double Traced = windowedLatency(Open, OpenSteal, 0.5, 1);
+    Res.set("obs.tracing_overhead", Untraced > 0 ? Traced / Untraced - 1 : 0,
             "fraction");
     // Compiler front end per einsum, timed by the benchmark itself (the
     // service compiles internally on every miss).

@@ -1,7 +1,7 @@
 //===- perfbench/src/main.cpp - Repository benchmark entry point ----------===//
 ///
 /// perfbench --workload <kernels-1t|kernels-4t|service-mixed> --seed <n>
-///           --seconds <s> --trace <0|1> --jit-dir <dir>
+///           --seconds <s> --trace <0|1>
 ///           [--trace-out <file>] [--corrupt-every <n>]
 ///
 /// Runs one workload and prints, as the last line of standard output,
@@ -9,7 +9,9 @@
 /// end-to-end metrics (no span is recorded), with --trace 1 the
 /// per-layer metrics of a traced run that records a span around every
 /// public library call and writes them to --trace-out at exit.
-/// perfbench/run.py builds this binary and is the command to run.
+/// SYSTEC_JIT_CACHE_DIR must name a fresh directory for the native
+/// engine's kernel cache. perfbench/run.py builds this binary, creates
+/// and deletes that directory, and is the command to run.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -67,7 +69,7 @@ const std::pair<const char *, const char *> PerLayer[] = {
   std::fprintf(stderr,
                "perfbench: %s\nusage: perfbench --workload <kernels-1t|"
                "kernels-4t|service-mixed> --seed <n> --seconds <s> --trace "
-               "<0|1> --jit-dir <dir> [--trace-out <file>] "
+               "<0|1> [--trace-out <file>] "
                "[--corrupt-every <n>]\n",
                Why);
   std::exit(2);
@@ -89,8 +91,6 @@ RunConfig parseArgs(int Argc, char **Argv) {
       C.Seconds = std::strtod(V, &End);
     else if (Flag == "--trace")
       C.Trace = std::strcmp(V, "1") == 0;
-    else if (Flag == "--jit-dir")
-      C.JitDir = V;
     else if (Flag == "--trace-out")
       C.TraceOut = V;
     else if (Flag == "--corrupt-every")
@@ -100,8 +100,14 @@ RunConfig parseArgs(int Argc, char **Argv) {
     if (End && *End)
       usage(("bad value for " + Flag).c_str());
   }
-  if (C.Workload.empty() || C.JitDir.empty())
-    usage("--workload and --jit-dir are required");
+  if (C.Workload.empty())
+    usage("--workload is required");
+  // Every executor, the service's included, keeps native kernels in
+  // this directory; without it they would share the per-user default
+  // cache and cold JIT numbers would not repeat.
+  const char *JitDir = std::getenv("SYSTEC_JIT_CACHE_DIR");
+  if (!JitDir || !*JitDir)
+    usage("SYSTEC_JIT_CACHE_DIR must name a fresh per-run directory");
   if (!(C.Seconds > 0 && C.Seconds <= 60))
     usage("--seconds must be in (0, 60]");
   return C;
