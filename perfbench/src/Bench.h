@@ -68,6 +68,15 @@ struct Result {
 double quantile(std::vector<double> V, double Q);
 inline double median(const std::vector<double> &V) { return quantile(V, 0.5); }
 double geomean(const std::vector<double> &V);
+/// The quantile the gated timings of short calls report. A shared host
+/// slows this machine's cores in episodes of a fraction of a second
+/// that have nothing to do with the program: a 2-12 ms kernel call then
+/// takes one of two times, about 1.7x apart, and the share of slow
+/// calls changed from about 10% to 95% between runs minutes apart. A
+/// median lands in either mode; the 5th percentile stayed in the fast
+/// mode in every run seen, and a change to the program moves both
+/// modes.
+constexpr double FastQuantile = 0.05;
 double mean(const std::vector<double> &V);
 
 /// Peak resident set size of this process in MiB.
