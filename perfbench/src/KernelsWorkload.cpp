@@ -156,17 +156,20 @@ double timeRuns(Executor &Ex, KernelRun &K, unsigned N, Tally &T,
   return median(Ms);
 }
 
-/// The timed closed loop: \p Runs rounds of one checked call per kernel.
-/// Round-robin spreads every kernel's samples over the whole pass, so a
-/// neighbour's periodic load on a shared machine slows the same share
-/// of each kernel's runs and the medians stay put. Appends each run's
-/// timings to its KernelRun (to TracedMs and Reports while spans are
-/// recorded).
-void timedPass(std::vector<KernelRun> &Ks, size_t Runs, Tally &T,
-               Clock::time_point Start) {
+/// The timed closed loop: rounds of one checked call per kernel for
+/// \p Seconds, and at least \p MinRounds rounds. Round-robin spreads
+/// every kernel's samples over the whole pass, so a neighbour's load on
+/// a shared machine slows the same share of each kernel's runs. Appends
+/// each run's timings to its KernelRun (to TracedMs and Reports while
+/// spans are recorded).
+void timedPass(std::vector<KernelRun> &Ks, double Seconds, size_t MinRounds,
+               Tally &T, Clock::time_point Start) {
   const bool Traced = Tracer::get().enabled();
+  const Clock::time_point Until =
+      Clock::now() + std::chrono::duration_cast<Clock::duration>(
+                         std::chrono::duration<double>(Seconds));
   obs::ExecReport Rep;
-  for (size_t I = 0; I < Runs; ++I) {
+  for (size_t I = 0; I < MinRounds || Clock::now() < Until; ++I) {
     if (msBetween(Start, Clock::now()) > HardStopSec * 1e3)
       break;
     for (KernelRun &K : Ks) {
@@ -253,26 +256,17 @@ Result runKernels(const RunConfig &Cfg, unsigned Threads,
       std::exit(1);
     }
 
-  // Warm-up (checked, untimed), which also sizes the timed loop: every
-  // kernel gets the same number of runs, enough to fill the time budget.
-  double RoundMs = 0;
+  // Warm-up (checked, untimed).
   for (KernelRun &K : Ks) {
     obs::ExecReport Rep;
-    double Best = 1e30;
-    for (unsigned I = 0; I < WarmupRuns; ++I) {
-      const Clock::time_point T0 = Clock::now();
+    for (unsigned I = 0; I < WarmupRuns; ++I)
       if (runOnce(*K.Exec, *K.C, K.Out, T, Rep, "warmup") >= 0 && I == 0)
         K.FirstReport = Rep;
-      Best = std::min(Best, msBetween(T0, Clock::now()));
-    }
-    RoundMs += Best;
   }
-  const size_t Runs =
-      std::max(MinRuns, size_t(Cfg.Seconds * 1e3 / std::max(RoundMs, 1e-3)));
 
   Res.set("setup_s", median(SetupSec), "s");
   if (!Cfg.Trace) {
-    timedPass(Ks, Runs, T, Start);
+    timedPass(Ks, Cfg.Seconds, MinRuns, T, Start);
     std::vector<double> All;
     double BusySec = 0;
     for (const KernelRun &K : Ks) {
@@ -302,14 +296,13 @@ Result runKernels(const RunConfig &Cfg, unsigned Threads,
                 "ms\n",
                 All.size(), BusySec, quantile(All, 0.5), quantile(All, 0.99));
   } else {
-    // Half the rounds, in alternating traced and untraced chunks so
-    // both halves see the same machine; their p5 run times give the
-    // tracing overhead.
+    // Half the time, in alternating traced and untraced chunks so both
+    // halves see the same machine; their p5 run times give the tracing
+    // overhead.
     constexpr unsigned Chunks = 10;
-    const size_t ChunkRounds = std::max<size_t>(3, Runs / 2 / Chunks);
     for (unsigned C = 0; C < Chunks; ++C) {
       Tracer::get().enable(C % 2 == 0);
-      timedPass(Ks, ChunkRounds, T, Start);
+      timedPass(Ks, Cfg.Seconds / 2 / Chunks, 3, T, Start);
     }
     Tracer::get().enable(true);
     Res.set("obs.tracing_overhead",

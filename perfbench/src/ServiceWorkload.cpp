@@ -80,6 +80,14 @@ constexpr double FastRateQuantile = 0.95;
 constexpr size_t OpenSegmentWindows = 4;
 constexpr double ClosedSegmentSeconds = 1.25;
 constexpr unsigned SetupReps = 11;
+/// The quantile of each hot structure's hit run times that run_ms
+/// reports. A hit's in-service run takes 0.1-0.2 ms, in the fast or the
+/// slow speed mode (FastQuantile); the fast mode's share went from
+/// about 5% to over half between runs, so the median flips between
+/// modes and even the 5th percentile moved by 17% between runs. The
+/// 2nd percentile (7 or more samples below it per structure) stayed in
+/// the fast mode.
+constexpr double RunQuantile = 0.02;
 /// One response in this many (seeded) is checked against src/baselines.
 constexpr unsigned CheckOneIn = 8;
 const char *const KernelNames[] = {"ssymv", "syprd", "ssyrk", "mttkrp3"};
@@ -268,7 +276,7 @@ private:
   }
 
   std::vector<Outcome> openLoop(size_t Base, size_t N);
-  void closedLoop(double Seconds, std::vector<Outcome> &Outs,
+  void closedLoop(double Seconds, std::vector<Outcome> &Outs, size_t &Count,
                   std::vector<double> &Rates);
 };
 
@@ -339,10 +347,13 @@ std::vector<Outcome> ServiceBench::openLoop(size_t Base, size_t N) {
   return Outs;
 }
 
-/// Runs the closed loop for \p Seconds and appends its outcomes to
-/// \p Outs and the completion rate of each of its windows to \p Rates.
+/// Runs the closed loop for \p Seconds and appends the completion rate
+/// of each of its windows to \p Rates. The traced run also appends its
+/// outcomes to \p Outs for the layer metrics; the untraced run keeps
+/// only their count in \p Count, so that its peak memory does not grow
+/// with the throughput.
 void ServiceBench::closedLoop(double Seconds, std::vector<Outcome> &Outs,
-                              std::vector<double> &Rates) {
+                              size_t &Count, std::vector<double> &Rates) {
   const unsigned Depth = ServiceOptions().Workers;
   // The structure sequence is drawn up front so it depends on the seed
   // only.
@@ -380,8 +391,9 @@ void ServiceBench::closedLoop(double Seconds, std::vector<Outcome> &Outs,
   }
   for (auto &[Idx, P] : ToCheck)
     verify(P, Seg[Idx]);
-  for (Outcome &O : Seg)
-    Outs.push_back(std::move(O));
+  Count += Seg.size();
+  if (Cfg.Trace)
+    std::move(Seg.begin(), Seg.end(), std::back_inserter(Outs));
   // Completion rate over consecutive windows of ClosedWindow
   // completions. A segment too short for four full windows uses
   // quarter-segment ones.
@@ -446,12 +458,13 @@ Result ServiceBench::run() {
       double(SegmentRequests) / OfferedRps + ClosedSegmentSeconds;
   const size_t Cycles = std::max<size_t>(1, size_t(Cfg.Seconds / CycleSeconds));
   std::vector<Outcome> Open, Closed;
+  size_t ClosedCount = 0;
   std::vector<double> Rates;
   for (size_t C = 0; C < Cycles; ++C) {
     std::vector<Outcome> Seg = openLoop(C * SegmentRequests, SegmentRequests);
     std::move(Seg.begin(), Seg.end(), std::back_inserter(Open));
     Tracer::get().enable(Cfg.Trace);
-    closedLoop(ClosedSegmentSeconds, Closed, Rates);
+    closedLoop(ClosedSegmentSeconds, Closed, ClosedCount, Rates);
   }
   const double Rps = quantile(Rates, FastRateQuantile);
   const KernelService::Stats After = Svc->stats();
@@ -485,7 +498,7 @@ Result ServiceBench::run() {
   }
   std::printf("closed loop: %zu requests in %zu segments; over %zu windows "
               "of up to %zu completions, p95 rate %.0f req/s\n",
-              Closed.size(), Cycles, Rates.size(), ClosedWindow, Rps);
+              ClosedCount, Cycles, Rates.size(), ClosedWindow, Rps);
   const uint64_t Hits = After.Cache.Hits - Before.Cache.Hits;
   const uint64_t Misses = After.Cache.Misses - Before.Cache.Misses;
   std::printf("plan cache: %llu hits, %llu misses, %llu evictions\n",
@@ -496,9 +509,7 @@ Result ServiceBench::run() {
   if (!Cfg.Trace) {
     Res.set("latency_ms_p5", latencyMs(Open, FastQuantile), "ms");
     Res.set("saturated_rps", Rps, "req/s");
-    // The in-service run of a hit takes 0.1-0.3 ms, and its fast mode
-    // held only 5-15% of them: the median stays in the slow mode.
-    Res.set("run_ms", runMs(Open, 0.5), "ms");
+    Res.set("run_ms", runMs(Open, RunQuantile), "ms");
   } else {
     const double Untraced = latencyMs(Open, FastQuantile, 0);
     const double Traced = latencyMs(Open, FastQuantile, 1);
