@@ -157,6 +157,9 @@ int main(int argc, char **argv) {
     H->Tensors.emplace("out", Tensor::dense(C.OutDims));
     Tensor *Out = &H->tensor("out");
     CaseImpls.emplace_back();
+    // The specializer stats come from the fused executor, which also
+    // runs the blocked engine; the native body has none.
+    const Executor *FusedExec = nullptr;
     for (const std::string &Impl : Impls) {
       ExecOptions O = implOptions(Impl);
       H->Executors.push_back(
@@ -172,12 +175,14 @@ int main(int argc, char **argv) {
         H->Executors.pop_back();
         continue;
       }
+      if (Impl == "fused")
+        FusedExec = &E;
       CaseImpls.back().push_back(Impl);
       registerRun("microkernels/" + C.Name + "/" + Impl,
                   [Out] { Out->setAllValues(0.0); },
                   [&E] { E.runBody(); });
     }
-    const MicroKernelStats &S = H->Executors.back()->microKernelStats();
+    const MicroKernelStats &S = FusedExec->microKernelStats();
     std::printf("%-8s specialized=%llu (innermost %llu), generic=%llu, "
                 "co=%llu (nway %llu, rl %llu, banded %llu), lut=%llu, "
                 "prebind=%llu, blocked=%llu (accum %llu)\n",

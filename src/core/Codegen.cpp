@@ -631,10 +631,17 @@ private:
   std::string lev(Tensor *T, unsigned L) {
     return tens(T) + ".levels[" + num(L) + "]";
   }
-  static std::string ivar(unsigned Slot) { return "i" + num(Slot); }
-  static std::string svar(unsigned Slot) { return "s" + num(Slot); }
+  /// A one-letter prefix plus a number, built by appending: GCC 12's
+  /// -Wrestrict misfires on an inlined `"i" + std::string&&`.
+  static std::string named(char Prefix, unsigned N) {
+    std::string S(1, Prefix);
+    S += num(N);
+    return S;
+  }
+  static std::string ivar(unsigned Slot) { return named('i', Slot); }
+  static std::string svar(unsigned Slot) { return named('s', Slot); }
   static std::string pvar(unsigned AccessId, unsigned Level) {
-    return "p" + num(AccessId) + "_" + num(Level);
+    return named('p', AccessId) + "_" + num(Level);
   }
 
   /// evalOp fold step with the interpreter's operand order; the min/max

@@ -324,7 +324,8 @@ private:
       Rep->T = tensorFor(S->tensorName());
       if (!Rep->T->format().isAllDense())
         fatalError("replicate requires a dense output");
-      Rep->Sym = S->outputSymmetry();
+      Rep->Layout =
+          ReplicateLayout::build(Rep->T->dims(), S->outputSymmetry());
       Rep->Threads = E.Options.Threads;
       return Rep;
     }
@@ -784,6 +785,20 @@ Status Executor::sanitizeOptions() {
   return Status::success();
 }
 
+namespace {
+/// Replication copies between the modes of a symmetric part, so they
+/// must cover the tensor's modes and share one extent.
+bool symmetricExtentsAgree(const Tensor &T, const Partition &Sym) {
+  if (Sym.order() != T.order())
+    return false;
+  for (const std::vector<unsigned> &Part : Sym.parts())
+    for (unsigned M : Part)
+      if (T.dim(M) != T.dim(Part[0]))
+        return false;
+  return true;
+}
+} // namespace
+
 Status Executor::validateKernel() const {
   // Mirrors every malformed-input abort of plan compilation as a
   // Status-returning pre-pass ("validate then trust"): once this pass
@@ -815,6 +830,11 @@ Status Executor::validateKernel() const {
           Fail(ErrCode::InvalidArgument,
                "replicate requires a dense output (tensor " +
                    Node->tensorName() + " is " + T->format().str() + ")");
+        else if (!symmetricExtentsAgree(*T, Node->outputSymmetry()))
+          Fail(ErrCode::InvalidArgument,
+               "replicate over " + Node->outputSymmetry().str() +
+                   " needs equal extents within each part (tensor " +
+                   Node->tensorName() + " is " + T->summary() + ")");
       }
       for (const ExprPtr &A : Accesses) {
         Tensor *T = lookup(A->tensorName());

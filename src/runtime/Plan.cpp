@@ -180,7 +180,7 @@ void PlanAssign::exec(ExecCtx &C) {
 }
 
 void PlanReplicate::exec(ExecCtx &C) {
-  uint64_t Copies = replicateSymmetric(*T, Sym, Threads);
+  uint64_t Copies = replicateSymmetric(*T, Layout, Threads);
   if (C.CountersOn)
     C.Local.OutputWrites += Copies;
 }

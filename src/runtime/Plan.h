@@ -325,7 +325,7 @@ public:
 class PlanReplicate final : public PlanNode {
 public:
   Tensor *T = nullptr;
-  Partition Sym;
+  ReplicateLayout Layout; ///< built from T's dims at plan compile
   unsigned Threads = 1;
 
   void exec(ExecCtx &C) override;

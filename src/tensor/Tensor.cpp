@@ -606,59 +606,170 @@ double Tensor::maxAbsDiff(const Tensor &A, const Tensor &B) {
   return Max;
 }
 
+ReplicateLayout ReplicateLayout::build(const std::vector<int64_t> &Dims,
+                                       const Partition &Sym) {
+  assert(Sym.order() == Dims.size() && "partition order mismatch");
+  ReplicateLayout L;
+  L.Dims = Dims;
+  L.Stride.resize(Dims.size());
+  int64_t Cells = 1;
+  for (size_t M = 0; M < Dims.size(); ++M) {
+    L.Stride[M] = Cells;
+    Cells *= Dims[M];
+  }
+  if (Cells == 0)
+    return L;
+  std::vector<bool> InSymPart(Dims.size(), false);
+  for (const std::vector<unsigned> &Part : Sym.parts()) {
+    if (Part.size() < 2)
+      continue;
+    for (unsigned M : Part) {
+      assert(Dims[M] == Dims[Part[0]] && "symmetric modes differ in extent");
+      InSymPart[M] = true;
+    }
+    L.SymParts.push_back(Part);
+  }
+  if (L.SymParts.empty())
+    return L;
+  // Parts are sorted by their lowest mode, so the first symmetric part
+  // holds the lowest symmetric mode.
+  L.RunMode = L.SymParts[0][0];
+  for (unsigned M = L.RunMode + 1; M < Dims.size(); ++M)
+    if (!InSymPart[M])
+      L.FreeModes.push_back(M);
+  const unsigned Outer = static_cast<unsigned>(Dims.size()) - 1;
+  for (const std::vector<unsigned> &Part : L.SymParts)
+    if (Part.size() == 2 && Part.back() == Outer)
+      L.OuterTriDepth = -1;
+  return L;
+}
+
 namespace {
 
-/// Replicates the canonical triangle into every non-canonical
-/// coordinate whose outer-mode value lies in [Lo, Hi]. Returns the
-/// number of copies. Writes touch only non-canonical coordinates and
-/// reads touch only canonical ones, so disjoint outer ranges never
-/// conflict.
-uint64_t replicateRange(Tensor &T, const Partition &Sym, int64_t Lo,
-                        int64_t Hi) {
-  const unsigned N = T.order();
+/// Insertion sort for the few coordinates of one part.
+void sortSmall(int64_t *V, size_t N) {
+  for (size_t I = 1; I < N; ++I)
+    for (size_t J = I; J > 0 && V[J - 1] > V[J]; --J)
+      std::swap(V[J - 1], V[J]);
+}
+
+/// Copies \p Count cells of \p Block values: destination cells are
+/// contiguous from \p Dst, source cells start \p SrcStride apart.
+void copyRun(const double *Src, double *Dst, int64_t Count,
+             int64_t SrcStride, int64_t Block) {
+  if (SrcStride == Block)
+    std::copy_n(Src, Count * Block, Dst);
+  else if (Block == 1)
+    for (int64_t I = 0; I < Count; ++I)
+      Dst[I] = Src[I * SrcStride];
+  else
+    for (int64_t I = 0; I < Count; ++I)
+      std::copy_n(Src + I * SrcStride, Block, Dst + I * Block);
+}
+
+/// Replicates every non-canonical cell whose outermost-mode coordinate
+/// lies in [Lo, Hi]: an odometer over the modes above the run mode,
+/// outermost first, and per odometer step one copy run per rank
+/// segment of the run mode. Writes stay inside the slab of those outer
+/// coordinates and reads touch only canonical cells, so disjoint
+/// ranges never conflict. Returns the number of values copied.
+uint64_t replicateSlab(double *V, const ReplicateLayout &L, int64_t Lo,
+                       int64_t Hi) {
+  const unsigned N = static_cast<unsigned>(L.Dims.size());
+  const unsigned Outer = N - 1, Run = L.RunMode;
+  const std::vector<unsigned> &RunPart = L.SymParts.front();
+  const size_t K = RunPart.size();
+  const int64_t RunDim = L.Dims[Run], Block = L.Stride[Run];
+  std::vector<int64_t> C(N, 0), Sorted(N);
   uint64_t Copies = 0;
-  std::vector<int64_t> Coords(N, 0);
-  std::function<void(unsigned)> Walk = [&](unsigned M) {
-    if (M == N) {
-      if (!Sym.isCanonical(Coords)) {
-        T.denseRef(Coords) = T.at(Sym.canonicalize(Coords));
-        ++Copies;
-      }
-      return;
+  C[Outer] = Lo;
+  for (;;) {
+    // Destination base, and the canonical source base contributed by
+    // every mode outside the run part.
+    int64_t Dst = 0, Src = 0;
+    for (unsigned M = Run + 1; M < N; ++M)
+      Dst += C[M] * L.Stride[M];
+    for (unsigned M : L.FreeModes)
+      Src += C[M] * L.Stride[M];
+    bool OuterCanonical = true;
+    for (size_t P = 1; P < L.SymParts.size(); ++P) {
+      const std::vector<unsigned> &Part = L.SymParts[P];
+      for (size_t I = 0; I < Part.size(); ++I)
+        Sorted[I] = C[Part[I]];
+      OuterCanonical &= std::is_sorted(Sorted.begin(),
+                                       Sorted.begin() + Part.size());
+      sortSmall(Sorted.data(), Part.size());
+      for (size_t I = 0; I < Part.size(); ++I)
+        Src += Sorted[I] * L.Stride[Part[I]];
     }
-    for (Coords[M] = 0; Coords[M] < T.dim(M); ++Coords[M])
-      Walk(M + 1);
-  };
-  for (Coords[0] = Lo; Coords[0] <= Hi; ++Coords[0])
-    Walk(1);
-  return Copies;
+    // The run part's other coordinates, sorted. A run coordinate in
+    // (Sorted[R-1], Sorted[R]] takes rank R in its canonical tuple, so
+    // its source is linear in it with stride Stride[RunPart[R]]. Rank 0
+    // is canonical exactly when everything above is.
+    for (size_t I = 1; I < K; ++I)
+      Sorted[I - 1] = C[RunPart[I]];
+    OuterCanonical &= std::is_sorted(Sorted.begin(), Sorted.begin() + K - 1);
+    sortSmall(Sorted.data(), K - 1);
+    int64_t SegLo = 0;
+    for (size_t R = 0; R < K; ++R) {
+      const int64_t SegHi = R + 1 < K ? Sorted[R] : RunDim - 1;
+      if (SegHi >= SegLo && (R > 0 || !OuterCanonical)) {
+        int64_t SegSrc = Src;
+        for (size_t J = 0; J + 1 < K; ++J)
+          SegSrc += Sorted[J] * L.Stride[RunPart[J < R ? J : J + 1]];
+        const int64_t SrcStride = L.Stride[RunPart[R]];
+        copyRun(V + SegSrc + SegLo * SrcStride, V + Dst + SegLo * Block,
+                SegHi - SegLo + 1, SrcStride, Block);
+        Copies += static_cast<uint64_t>((SegHi - SegLo + 1) * Block);
+      }
+      SegLo = std::max(SegLo, SegHi + 1);
+    }
+    // Advance the odometer, innermost outer mode first.
+    for (unsigned M = Run + 1;; ++M) {
+      if (M == Outer) {
+        if (++C[M] > Hi)
+          return Copies;
+        break;
+      }
+      if (++C[M] < L.Dims[M])
+        break;
+      C[M] = 0;
+    }
+  }
 }
 
 } // namespace
 
-uint64_t replicateSymmetric(Tensor &T, const Partition &Sym,
+uint64_t replicateSymmetric(Tensor &T, const ReplicateLayout &Layout,
                             unsigned Threads) {
   assert(T.format().isAllDense() && "replication needs a dense tensor");
-  assert(Sym.order() == T.order() && "partition order mismatch");
-  if (T.order() == 0)
+  assert(T.dims() == Layout.Dims && "layout built for other dims");
+  if (Layout.empty())
     return 0;
-  const int64_t Dim0 = T.dim(0);
-  if (Threads <= 1 || Dim0 < 2)
-    return replicateRange(T, Sym, 0, Dim0 - 1);
-  // Outer-mode chunks run on the shared pool. Each non-canonical
-  // coordinate is written by exactly one chunk and sources are
-  // canonical (never written), so the result is independent of the
-  // decomposition; per-chunk copy counts sum to the same total.
-  std::vector<ChunkRange> Chunks = staticBlocks(0, Dim0 - 1, Threads);
+  double *V = T.valsData();
+  const int64_t OuterDim = Layout.Dims.back();
+  if (Threads <= 1 || OuterDim < 2)
+    return replicateSlab(V, Layout, 0, OuterDim - 1);
+  // Each task owns a slab of the outermost storage mode. Chunks are
+  // balanced on the non-canonical work under each coordinate; copy
+  // counts sum to the sequential total.
+  std::vector<ChunkRange> Chunks =
+      triangleBalanced(0, OuterDim - 1, Threads, Layout.OuterTriDepth);
   std::vector<uint64_t> Counts(Chunks.size(), 0);
   ThreadPool::global().parallelFor(
       static_cast<unsigned>(Chunks.size()), [&](unsigned I) {
-        Counts[I] = replicateRange(T, Sym, Chunks[I].Lo, Chunks[I].Hi);
+        Counts[I] = replicateSlab(V, Layout, Chunks[I].Lo, Chunks[I].Hi);
       });
   uint64_t Copies = 0;
   for (uint64_t C : Counts)
     Copies += C;
   return Copies;
+}
+
+uint64_t replicateSymmetric(Tensor &T, const Partition &Sym,
+                            unsigned Threads) {
+  return replicateSymmetric(T, ReplicateLayout::build(T.dims(), Sym),
+                            Threads);
 }
 
 std::string Tensor::summary() const {

@@ -176,16 +176,6 @@ public:
   /// One-line summary "2-d 100x100, 512 stored, Dense(Sparse(...))".
   std::string summary() const;
 
-  /// Copies the canonical triangle of an all-dense tensor to every
-  /// non-canonical coordinate under \p Sym (the replication
-  /// post-processing step of paper 4.2.2). Returns the number of
-  /// copies performed. \p Threads > 1 splits the outer mode across the
-  /// shared thread pool; every non-canonical coordinate is written by
-  /// exactly one task and canonical sources are never written, so the
-  /// result is bit-identical for any thread count.
-  friend uint64_t replicateSymmetric(Tensor &T, const Partition &Sym,
-                                     unsigned Threads);
-
 private:
   std::vector<int64_t> Dims; // per access mode
   TensorFormat Format;       // per level, top first
@@ -194,6 +184,48 @@ private:
   std::vector<double> Vals;  // bottom positions
 };
 
+/// The storage layout of the replication epilogue for one (dims,
+/// symmetry) pair, computed once so a compiled plan replicates without
+/// re-deriving it on every run (rebinding keeps dims, so it stays
+/// valid). Dense storage is column-major: mode 0 has stride 1.
+///
+/// Replication walks only the modes at or above \c RunMode, the lowest
+/// mode of any symmetric part. Modes below it belong to no symmetric
+/// part, so each cell there is a contiguous block of Stride[RunMode]
+/// values whose source block is contiguous too. Along \c RunMode the
+/// canonical source of a cell is linear in the coordinate between the
+/// values of the run part's other modes, so each such segment is one
+/// contiguous destination run read with a fixed source stride.
+struct ReplicateLayout {
+  std::vector<int64_t> Dims;
+  std::vector<int64_t> Stride; ///< per mode, in values
+  /// Parts of size >= 2, by lowest mode; the first holds \c RunMode.
+  std::vector<std::vector<unsigned>> SymParts;
+  unsigned RunMode = 0;
+  /// Modes above \c RunMode in no symmetric part.
+  std::vector<unsigned> FreeModes;
+  /// Work shape of the outermost mode for triangleBalanced: -1 when
+  /// the non-canonical cells under coordinate x shrink like (n - x).
+  int OuterTriDepth = 0;
+
+  /// Nothing to replicate (no symmetric part, or an empty tensor).
+  bool empty() const { return SymParts.empty(); }
+
+  /// Asserts that the modes of each symmetric part share one extent.
+  static ReplicateLayout build(const std::vector<int64_t> &Dims,
+                               const Partition &Sym);
+};
+
+/// Copies the canonical triangle of an all-dense tensor to every
+/// non-canonical coordinate under \p Sym (the replication
+/// post-processing step of paper 4.2.2). Returns the number of values
+/// copied, which is the number of non-canonical coordinates.
+/// \p Threads > 1 splits the outermost storage mode across the shared
+/// thread pool, so each task writes its own slab; canonical sources
+/// are never written, so the result is bit-identical for any thread
+/// count.
+uint64_t replicateSymmetric(Tensor &T, const ReplicateLayout &Layout,
+                            unsigned Threads = 1);
 uint64_t replicateSymmetric(Tensor &T, const Partition &Sym,
                             unsigned Threads = 1);
 

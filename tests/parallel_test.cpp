@@ -24,6 +24,8 @@
 #include <atomic>
 #include <cmath>
 #include <cstdlib>
+#include <cstring>
+#include <functional>
 #include <numeric>
 
 using namespace systec;
@@ -544,31 +546,81 @@ TEST(ParallelRuntime, ThreadsOneMatchesAnnotatedPlan) {
 // Parallel replication epilogue
 //===----------------------------------------------------------------------===//
 
-TEST(ParallelRuntime, ReplicateSymmetricDeterministicAcrossThreads) {
-  // The replication epilogue splits the outer mode across the pool.
-  // Writes hit only non-canonical coordinates and reads only canonical
-  // ones, so every thread count must produce bit-identical tensors and
-  // the same copy count.
+namespace {
+/// Reference replication, independent of the storage-order copy in
+/// replicateSymmetric: visits every coordinate and copies each
+/// non-canonical one from Partition::canonicalize's representative
+/// through the level-walking Tensor::at and denseRef.
+uint64_t replicateReference(Tensor &T, const Partition &Sym) {
+  const unsigned N = T.order();
+  if (N == 0)
+    return 0;
+  uint64_t Copies = 0;
+  std::vector<int64_t> Coords(N, 0);
+  std::function<void(unsigned)> Walk = [&](unsigned M) {
+    if (M == N) {
+      if (!Sym.isCanonical(Coords)) {
+        T.denseRef(Coords) = T.at(Sym.canonicalize(Coords));
+        ++Copies;
+      }
+      return;
+    }
+    for (Coords[M] = 0; Coords[M] < T.dim(M); ++Coords[M])
+      Walk(M + 1);
+  };
+  Walk(0);
+  return Copies;
+}
+
+struct ReplicateCase {
+  std::vector<int64_t> Dims;
+  std::string Sym; ///< Partition::parse notation
+};
+} // namespace
+
+TEST(ParallelRuntime, ReplicateSymmetricMatchesReferenceWalker) {
+  // Every shape class of the storage-order copy: full symmetry of
+  // orders 2-4 (one run part with up to four rank segments), a part
+  // above a free block (ttm's C[r,j,k]), two parts, non-adjacent parts
+  // with a free mode between them, order 1, and extents of 1 and 0.
+  // Each thread count must reproduce the reference bit for bit with the
+  // same copy count.
+  const std::vector<ReplicateCase> Cases = {
+      {{37, 37}, "{0,1}"},
+      {{13, 13, 13}, "{0,1,2}"},
+      {{5, 5, 5, 5}, "{0,1,2,3}"},
+      {{5, 13, 13}, "{1,2}"},
+      {{6, 6, 5, 5}, "{0,1}{2,3}"},
+      {{7, 4, 7}, "{0,2}{1}"},
+      {{3, 6, 4, 6}, "{1,3}"},
+      {{9}, "{0}"},
+      {{9, 9}, "{0}{1}"},
+      {{1, 1}, "{0,1}"},
+      {{1, 1, 1}, "{0,1,2}"},
+      {{3, 1, 1}, "{1,2}"},
+      {{1, 4, 4}, "{1,2}"},
+      {{4, 4, 1}, "{0,1}"},
+      {{0, 0}, "{0,1}"},
+      {{4, 0, 0}, "{1,2}"},
+  };
   Rng R(31415);
-  for (unsigned Order : {2u, 3u}) {
-    const int64_t Dim = Order == 2 ? 37 : 13;
-    std::vector<int64_t> Dims(Order, Dim);
-    Tensor Base = Tensor::dense(Dims);
+  for (const ReplicateCase &RC : Cases) {
+    const Partition Sym =
+        Partition::parse(static_cast<unsigned>(RC.Dims.size()), RC.Sym);
+    Tensor Base = Tensor::dense(RC.Dims);
     for (double &V : Base.vals())
       V = R.nextDouble();
-    Partition Sym = Partition::full(Order);
-
-    Tensor Seq = Base;
-    const uint64_t SeqCopies = replicateSymmetric(Seq, Sym, 1);
-    EXPECT_GT(SeqCopies, 0u);
-    for (unsigned Threads : {2u, 4u, 8u}) {
-      Tensor Par = Base;
-      const uint64_t ParCopies = replicateSymmetric(Par, Sym, Threads);
-      EXPECT_EQ(SeqCopies, ParCopies) << "threads " << Threads;
-      ASSERT_EQ(Seq.vals().size(), Par.vals().size());
-      for (size_t I = 0; I < Seq.vals().size(); ++I)
-        EXPECT_EQ(Seq.vals()[I], Par.vals()[I])
-            << "threads " << Threads << " element " << I;
+    Tensor Ref = Base;
+    const uint64_t RefCopies = replicateReference(Ref, Sym);
+    for (unsigned Threads : {1u, 2u, 4u, 8u}) {
+      SCOPED_TRACE(Base.summary() + " " + Sym.str() + " threads " +
+                   std::to_string(Threads));
+      Tensor Got = Base;
+      EXPECT_EQ(replicateSymmetric(Got, Sym, Threads), RefCopies);
+      ASSERT_EQ(Got.vals().size(), Ref.vals().size());
+      EXPECT_EQ(std::memcmp(Got.valsData(), Ref.valsData(),
+                            Ref.vals().size() * sizeof(double)),
+                0);
     }
   }
 }

@@ -491,6 +491,37 @@ TEST(PerfSmoke, BlockedOutputEngineCoversSsyrkAndSpmm) {
   }
 }
 
+TEST(PerfSmoke, EpilogueWritesExactlyTheNonCanonicalCells) {
+  // The replication epilogue's counter contract: its OutputWrites delta
+  // is the number of non-canonical output cells, each copied once, at
+  // any thread count. ssyrk's C[i,j] has n(n-1)/2 of them; ttm's
+  // C[r,j,k], symmetric in j and k, has R n(n-1)/2.
+  for (SmokeCase &C : makeCases()) {
+    if (C.Name != "ssyrk" && C.Name != "ttm")
+      continue;
+    const uint64_t N = static_cast<uint64_t>(C.OutDims.back());
+    const uint64_t Rows =
+        C.Name == "ttm" ? static_cast<uint64_t>(C.OutDims[0]) : 1;
+    CompileResult R = compileEinsum(C.E);
+    for (unsigned Threads : {1u, 4u}) {
+      SCOPED_TRACE(C.Name + " threads " + std::to_string(Threads));
+      ExecOptions O;
+      O.Threads = Threads;
+      Executor E(R.Optimized, O);
+      Tensor Out = Tensor::dense(C.OutDims, 0.0);
+      for (auto &[Name, T] : C.Inputs)
+        E.bind(Name, &T);
+      E.bind(C.OutName, &Out);
+      E.prepare();
+      setCountersEnabled(true);
+      E.runBody();
+      counters().reset();
+      E.runEpilogue();
+      EXPECT_EQ(counters().snapshot().OutputWrites, Rows * N * (N - 1) / 2);
+    }
+  }
+}
+
 TEST(PerfSmoke, TracingOverheadBounded) {
   // The observability layer's cost pin. Two claims: (1) with tracing
   // off, a run emits zero trace events (the disabled path is a single

@@ -324,6 +324,24 @@ TEST(Executor, ReplicateEpilogue) {
   EXPECT_EQ(C.at({1, 1}), 4.0);
 }
 
+TEST(Executor, ReplicateRejectsUnequalSymmetricExtents) {
+  // Replication copies between the modes of a part, so a 3x4 output
+  // cannot be replicated over {0,1}: a typed error, not a stray copy.
+  Kernel K;
+  K.Name = "rep";
+  K.LoopOrder = {};
+  K.OutputName = "C";
+  K.Body = Stmt::block({});
+  K.Epilogue = Stmt::replicate("C", Partition::full(2));
+  Tensor C = Tensor::dense({3, 4});
+  Executor E(K);
+  E.bind("C", &C);
+  Status S = E.tryPrepare();
+  ASSERT_FALSE(S.ok());
+  EXPECT_EQ(S.code(), ErrCode::InvalidArgument);
+  EXPECT_NE(S.str().find("equal extents"), std::string::npos) << S.str();
+}
+
 TEST(Executor, TransposeRequestMaterializes) {
   Kernel K = spmvKernel();
   // Rewrite to use the transposed alias: A_T[j,i] with loops i outer.
