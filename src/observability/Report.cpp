@@ -44,7 +44,11 @@ std::string ExecReport::structureKey() const {
   Out += ";loops:";
   for (const LoopStat &L : Loops)
     Out += L.Label + "/" + L.Engine + "/" + L.Driver + ",";
-  Out += ";counters:" + counterJson(Counters);
+  // How many panels the blocked engine runs depends on where task
+  // boundaries cut a sparse nest; every other counter is exact.
+  CounterSnapshot Invariant = Counters;
+  Invariant.FusedBlockedPanels = 0;
+  Out += ";counters:" + counterJson(Invariant);
   return Out;
 }
 
@@ -67,8 +71,9 @@ std::string ExecReport::toJson() const {
   for (size_t I = 0; I < Loops.size(); ++I) {
     const LoopStat &L = Loops[I];
     Out += "{\"label\":\"" + L.Label + "\",\"engine\":\"" + L.Engine +
-           "\",\"driver\":\"" + L.Driver +
-           "\",\"calls\":" + std::to_string(L.Calls) +
+           "\",\"driver\":\"" + L.Driver + "\",\"parallel\":\"" +
+           L.Parallel + "\",\"priv_bytes\":" + std::to_string(L.PrivBytes) +
+           ",\"calls\":" + std::to_string(L.Calls) +
            ",\"ns\":" + std::to_string(L.Ns) + "}";
     if (I + 1 < Loops.size())
       Out += ',';

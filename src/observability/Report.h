@@ -47,6 +47,19 @@ struct LoopStat {
   std::string Label;  ///< e.g. "loop i [Fused/SparseWalk]"
   std::string Engine; ///< "Interp", "Fused", or "Blocked"
   std::string Driver; ///< "Range", "DenseWalk", "SparseWalk", ...
+  /// Parallel mode of an activated loop, fixed at plan compilation:
+  /// "partitioned on j" (output partitioning: tasks own the coordinates
+  /// of the j loop, nothing privatized), "privatized C" (per-task
+  /// accumulators for the listed outputs and scalars, merged after the
+  /// loop), or "disjoint" (tasks write disjoint cells of the loop's own
+  /// variable); empty for loops that run inside a task or sequentially.
+  /// Like PrivBytes it depends on Threads, so structureKey() excludes
+  /// it.
+  std::string Parallel;
+  /// Privatized-accumulator bytes of an activated loop, all tasks
+  /// summed (what ExecOptions::MemoryBudgetBytes is checked against);
+  /// 0 when nothing is privatized.
+  uint64_t PrivBytes = 0;
   uint64_t Calls = 0;
   uint64_t Ns = 0;
 };
@@ -86,8 +99,10 @@ struct ExecReport {
   /// A timing-free fingerprint: phase names, loop labels/engines/
   /// drivers, and the counter deltas — everything that must be
   /// invariant across Threads/Schedule for a fixed plan. Excludes all
-  /// Ns fields, loop call counts (chunking-dependent), and worker
-  /// activity (pool-size-dependent).
+  /// Ns fields, loop call counts (chunking-dependent), the loops'
+  /// parallel modes and privatized bytes (Threads-dependent), the
+  /// blocked engine's panel count (split wherever a task boundary cuts
+  /// a sparse nest), and worker activity (pool-size-dependent).
   std::string structureKey() const;
 
   /// {"materialize":0.012,...} — per-phase milliseconds, for bench

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstdint>
 #include <set>
 
 namespace systec {
@@ -15,7 +16,7 @@ struct BodyFacts {
   std::string Var;
   /// Tensor name -> one record per assignment.
   struct TensorWrite {
-    bool IndexedByVar;
+    uint64_t VarModes; ///< bit m: index m of the target is Var
     std::optional<OpKind> Reduce;
   };
   std::map<std::string, std::vector<TensorWrite>> TensorWrites;
@@ -88,10 +89,12 @@ void collectBody(const StmtPtr &S, BodyFacts &F) {
       F.ScalarWrites[Lhs->scalarName()].push_back(S->reduceOp());
     } else {
       const std::vector<std::string> &Idx = Lhs->indices();
-      bool Indexed =
-          std::find(Idx.begin(), Idx.end(), F.Var) != Idx.end();
+      uint64_t Modes = 0;
+      for (size_t M = 0; M < Idx.size() && M < 64; ++M)
+        if (Idx[M] == F.Var)
+          Modes |= uint64_t(1) << M;
       F.TensorWrites[Lhs->tensorName()].push_back(
-          BodyFacts::TensorWrite{Indexed, S->reduceOp()});
+          BodyFacts::TensorWrite{Modes, S->reduceOp()});
     }
     return;
   }
@@ -125,6 +128,27 @@ unsigned reachCount(const std::vector<CmpAtom> &Atoms,
   return N;
 }
 
+/// The nearest loop under \p S through guards and one-statement
+/// blocks, or null when the spine branches or holds anything else.
+StmtPtr spineLoop(StmtPtr S) {
+  for (;;) {
+    switch (S->kind()) {
+    case StmtKind::Loop:
+      return S;
+    case StmtKind::If:
+      S = S->body();
+      break;
+    case StmtKind::Block:
+      if (S->stmts().size() != 1)
+        return nullptr;
+      S = S->stmts()[0];
+      break;
+    default:
+      return nullptr;
+    }
+  }
+}
+
 } // namespace
 
 LoopParallelism analyzeLoopParallelism(const StmtPtr &Loop) {
@@ -139,11 +163,15 @@ LoopParallelism analyzeLoopParallelism(const StmtPtr &Loop) {
 
   // Tensor targets.
   for (const auto &[Name, Writes] : F.TensorWrites) {
-    bool AllIndexed = true, AllReduce = true;
+    // Disjoint needs Var in one fixed mode of every write: C[i,j] and
+    // C[j,i] under a parallel j both carry j, yet two iterations would
+    // both write C[a,b].
+    uint64_t CommonModes = ~uint64_t(0);
+    bool AllReduce = true;
     std::optional<OpKind> Op;
     bool OpConsistent = true;
     for (const BodyFacts::TensorWrite &W : Writes) {
-      AllIndexed &= W.IndexedByVar;
+      CommonModes &= W.VarModes;
       if (!W.Reduce) {
         AllReduce = false;
       } else if (!Op) {
@@ -154,7 +182,7 @@ LoopParallelism analyzeLoopParallelism(const StmtPtr &Loop) {
     }
     if (F.TensorReads.count(Name))
       return LP; // cross-iteration read/write dependence possible
-    if (AllIndexed) {
+    if (CommonModes != 0) {
       LP.Tensors[Name] = WriteClass::Disjoint;
     } else if (AllReduce && OpConsistent && Op &&
                opInfo(*Op).Associative) {
@@ -195,6 +223,17 @@ LoopParallelism analyzeLoopParallelism(const StmtPtr &Loop) {
     LP.TriangleDepth = -static_cast<int>(Above);
 
   LP.Safe = true;
+
+  // Output partitioning: a privatizing loop whose writes all sit in one
+  // descendant loop whose own writes are all disjoint.
+  if (!LP.TensorMergeOps.empty())
+    if (StmtPtr D = spineLoop(Loop->body())) {
+      LoopParallelism LD = analyzeLoopParallelism(D);
+      if (LD.Safe && !LD.needsPrivatization()) {
+        LP.PartitionVar = D->loopIndex();
+        LP.PartitionTriangleDepth = LD.TriangleDepth;
+      }
+    }
   return LP;
 }
 

@@ -6,8 +6,10 @@
 /// write in its body falls into one of two classes:
 ///
 ///  - Disjoint: a tensor whose every assignment in the body carries x
-///    in the target index set — different iterations touch different
-///    elements, so threads write the shared output directly.
+///    at one fixed position of the target index — different iterations
+///    touch different elements, so threads write the shared output
+///    directly. (C[i,x] and C[x,i] together do not qualify: iterations
+///    a and b would both write C[a,b].)
 ///  - Reduction: a tensor or scalar accumulated with one associative
 ///    reduction operator whose definition (for scalars) lies outside
 ///    the body — the runtime gives each task a privatized accumulator
@@ -18,6 +20,20 @@
 /// Anything else — overwrites of shared elements, reads of a written
 /// tensor, replication statements — blocks parallelization of that
 /// loop (inner loops are still considered).
+///
+/// A loop that needs tensor privatization may instead qualify for a
+/// third mode, *output partitioning* (cf. SpDISTAL's partitioning by
+/// output coordinate): when its body is a spine of guards down to one
+/// descendant loop D whose writes are all Disjoint under D (and which
+/// needs no scalar merge), the runtime cuts tasks from D's extent
+/// instead. Each task runs the
+/// outer loop's full range with D clamped to its chunk, so tasks own
+/// disjoint output cells: no accumulators, no merge, and every cell
+/// folds its contributions in the sequential order. The analysis
+/// records D's variable and triangle depth (PartitionVar /
+/// PartitionTriangleDepth); the executor additionally requires that
+/// the outer loop's own iteration charges no counters, since every
+/// task repeats it.
 ///
 /// The analysis also classifies the workload shape: canonical-triangle
 /// conditions (inner <= x chains produced by the symmetry passes) make
@@ -58,6 +74,14 @@ struct LoopParallelism {
   std::map<std::string, OpKind> ScalarMergeOps;
   /// Workload shape (see ParallelAnnotation::TriangleDepth).
   int TriangleDepth = 0;
+  /// Output partitioning (see the file comment): the variable of the
+  /// descendant loop whose extent tasks are cut from, or empty when
+  /// the loop does not qualify. Set only for loops that need tensor
+  /// privatization.
+  std::string PartitionVar;
+  /// TriangleDepth of the PartitionVar loop: the work shape across the
+  /// coordinates the tasks are cut from.
+  int PartitionTriangleDepth = 0;
 
   bool needsPrivatization() const {
     return !TensorMergeOps.empty() || !ScalarMergeOps.empty();

@@ -359,50 +359,100 @@ private:
     fatalError("condition references indices that are never bound");
   }
 
+  /// How setUpParallel activated a loop, for the plan and the report.
+  struct ParSetup {
+    bool Activated = false;
+    std::string PartVar;  ///< partition loop variable (partitioned mode)
+    std::string Label;    ///< LoopStat::Parallel
+    uint64_t PrivBytes = 0;
+  };
+
   /// Activates parallel execution for \p S if it is the outermost
-  /// annotated loop of its nest and the privatization footprint fits
-  /// the budget. Returns whether the loop was activated (the body then
-  /// compiles with nested parallelism suppressed).
-  bool setUpParallel(const StmtPtr &S, PlanLoop &Loop) {
+  /// annotated loop of its nest (runs after \p Loop's walkers are
+  /// registered, before its body compiles; an activated loop compiles
+  /// its body with nested parallelism suppressed). A loop that needs
+  /// privatized accumulators either
+  ///  - partitions its output (parallel/ParallelAnalysis.h) when it
+  ///    qualifies, its own iteration charges no counters (every task
+  ///    repeats it), and the accumulators would be larger than that
+  ///    repeated iteration space or would not fit the budgets, or
+  ///  - privatizes when the accumulators fit both budgets, or
+  ///  - stays sequential, so an inner annotated loop runs parallel.
+  ParSetup setUpParallel(const StmtPtr &S, PlanLoop &Loop) {
+    ParSetup Out;
     if (InParallel || E.Options.Threads <= 1 ||
         !S->parallelInfo().IsParallel)
-      return false;
+      return Out;
     LoopParallelism LP = analyzeLoopParallelism(S);
     if (!LP.Safe)
-      return false;
-    SchedulePolicy Policy = E.Options.Schedule;
-    if (Policy == SchedulePolicy::Auto)
-      Policy = LP.TriangleDepth != 0 ? SchedulePolicy::TriangleBalanced
-                                     : SchedulePolicy::Static;
-    const unsigned TaskCount = Policy == SchedulePolicy::Dynamic
+      return Out;
+    const unsigned TaskCount = E.Options.Schedule == SchedulePolicy::Dynamic
                                    ? E.Options.Threads * 4
                                    : E.Options.Threads;
     size_t PrivElems = 0;
     std::vector<PlanLoop::PrivTensor> PrivT;
+    std::string Names;
     for (const auto &[Name, Op] : LP.TensorMergeOps) {
       Tensor *T = tensorFor(Name);
       PrivT.push_back(PlanLoop::PrivTensor{
           outId(T), T->vals().size(), Op, opInfo(Op).Identity});
       PrivElems += T->vals().size();
+      Names += (Names.empty() ? "" : ",") + Name;
     }
-    if (PrivElems * TaskCount > E.Options.PrivatizationBudget)
-      return false; // too much accumulator memory; try an inner loop
-    if (E.Options.MemoryBudgetBytes &&
-        PrivElems * TaskCount * sizeof(double) > E.Options.MemoryBudgetBytes)
-      return false; // hard resource ceiling; degrade to an inner
-                    // disjoint-write loop instead of allocating
-    std::vector<PlanLoop::PrivScalar> PrivS;
-    for (const auto &[Name, Op] : LP.ScalarMergeOps)
-      PrivS.push_back(PlanLoop::PrivScalar{scalarSlot(Name), Op,
-                                           opInfo(Op).Identity});
+    const uint64_t PrivBytes = PrivElems * TaskCount * sizeof(double);
+    const bool Fits = PrivElems * TaskCount <= E.Options.PrivatizationBudget &&
+                      (!E.Options.MemoryBudgetBytes ||
+                       PrivBytes <= E.Options.MemoryBudgetBytes);
+    bool Partition = !LP.PartitionVar.empty() &&
+                     (!Fits || PrivElems > size_t(Loop.Extent));
+    for (const PlanLoop::WalkerRef &W : Loop.Walkers)
+      Partition &= !(W.Bottom && AccessStates[W.AccessId].SparseFormat);
+    if (!Partition && !Fits)
+      return Out; // too much accumulator memory; try an inner loop
+
+    const int TriDepth =
+        Partition ? LP.PartitionTriangleDepth : LP.TriangleDepth;
+    SchedulePolicy Policy = E.Options.Schedule;
+    if (Policy == SchedulePolicy::Auto)
+      Policy = TriDepth != 0 ? SchedulePolicy::TriangleBalanced
+                             : SchedulePolicy::Static;
     Loop.Par.Enabled = true;
     Loop.Par.Policy = Policy;
-    Loop.Par.TriDepth = LP.TriangleDepth;
+    Loop.Par.TriDepth = TriDepth;
     Loop.Par.Threads = E.Options.Threads;
     Loop.Par.Pool = &ThreadPool::global();
+    Out.Activated = true;
+    if (Partition) {
+      Out.PartVar = LP.PartitionVar;
+      Out.Label = "partitioned on " + LP.PartitionVar;
+      return Out;
+    }
+    for (const auto &[Name, Op] : LP.ScalarMergeOps) {
+      Loop.Par.PrivScalars.push_back(PlanLoop::PrivScalar{
+          scalarSlot(Name), Op, opInfo(Op).Identity});
+      Names += (Names.empty() ? "" : ",") + Name;
+    }
     Loop.Par.PrivTensors = std::move(PrivT);
-    Loop.Par.PrivScalars = std::move(PrivS);
-    return true;
+    Out.Label = Names.empty() ? "disjoint" : "privatized " + Names;
+    Out.PrivBytes = PrivElems ? PrivBytes : 0;
+    return Out;
+  }
+
+  /// The nearest plan loop under \p N through guards and one-child
+  /// sequences — where the partition loop of a partitioned nest sits
+  /// (the analysis found it through the same spine).
+  static PlanLoop *spineLoop(PlanNode *N) {
+    for (;;) {
+      if (auto *L = dynamic_cast<PlanLoop *>(N))
+        return L;
+      if (auto *If = dynamic_cast<PlanIf *>(N))
+        N = If->Body.get();
+      else if (auto *Seq = dynamic_cast<PlanSeq *>(N);
+               Seq && Seq->Children.size() == 1)
+        N = Seq->Children[0].get();
+      else
+        return nullptr;
+    }
   }
 
   PlanPtr compileLoop(const StmtPtr &S) {
@@ -414,9 +464,6 @@ private:
       fatalError("loop index " + Var + " has no known extent");
     Loop->Extent = ExtIt->second;
     BoundVars.insert(Var);
-    const bool Activated = setUpParallel(S, *Loop);
-    if (Activated)
-      InParallel = true;
 
     // Peel liftable bound atoms off leading single-conjunction Ifs
     // (looking through single-statement blocks).
@@ -534,7 +581,17 @@ private:
       }
     }
 
+    ParSetup Par = setUpParallel(S, *Loop);
+    const bool Activated = Par.Activated;
+    if (Activated)
+      InParallel = true;
     Loop->Body = compile(Body);
+    if (!Par.PartVar.empty()) {
+      Loop->Par.Part = spineLoop(Loop->Body.get());
+      if (!Loop->Par.Part || Loop->Par.Part->Slot != indexSlot(Par.PartVar))
+        fatalError("partition loop " + Par.PartVar + " of loop " + Var +
+                   " is not on the compiled spine");
+    }
 
     // The PlanSpecializer pass: inner loops were specialized by the
     // recursive compile above, so matching proceeds bottom-up and a
@@ -601,6 +658,8 @@ private:
     }
 
     assignTraceIdentity(*Loop, Var);
+    LoopMeta.back().Parallel = Par.Label;
+    LoopMeta.back().PrivBytes = Par.PrivBytes;
 
     if (Activated)
       InParallel = false;

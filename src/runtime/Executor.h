@@ -69,20 +69,35 @@ struct ExecOptions {
   /// residual predicates.
   bool EnableBoundLifting = true;
   /// Parallel lanes for loops the parallelism analysis marked safe.
-  /// 1 keeps the plan fully sequential. N > 1 decomposes each parallel
-  /// loop into tasks run on the shared thread pool; outputs not indexed
-  /// by the loop variable get per-task privatized accumulators merged
-  /// in task order, so results are reproducible for a fixed (Threads,
-  /// Schedule) pair.
+  /// 1 keeps the plan fully sequential. N > 1 decomposes the outermost
+  /// parallel loop of each nest into tasks run on the shared thread
+  /// pool, in one of three modes (reported per loop as
+  /// obs::LoopStat::Parallel):
+  ///  - disjoint: every output is indexed by the loop variable; tasks
+  ///    take chunks of the loop and write in place;
+  ///  - partitioned: the loop's writes all sit in one descendant loop
+  ///    that indexes them (ssyrk's k loop over its j loop); tasks take
+  ///    chunks of the descendant, each running the outer loop in full,
+  ///    and write disjoint cells in place — bit-identical to Threads=1
+  ///    at any thread count and schedule, with no accumulators;
+  ///  - privatized: outputs not indexed by the loop variable get
+  ///    per-task accumulators merged in task order, so results are
+  ///    reproducible for a fixed (Threads, Schedule) pair.
+  /// A loop that could partition does so unless its accumulators would
+  /// be smaller than its own extent (which every task would repeat)
+  /// and fit both budgets below.
   unsigned Threads = 1;
   /// Chunking policy for parallel loops (see parallel/Schedule.h).
   /// Auto resolves to triangle-balanced for loops the analysis marked
   /// triangular and static blocks otherwise.
   SchedulePolicy Schedule = SchedulePolicy::Auto;
-  /// Ceiling on privatized accumulator storage, in elements summed
-  /// over all tasks of one loop. A loop whose privatization would
-  /// exceed this is left sequential at that level; an inner annotated
-  /// loop (typically with disjoint writes) runs parallel instead.
+  /// Ceiling on privatized accumulator storage, in elements (not
+  /// bytes) summed over all tasks of one loop: the default 16 M
+  /// elements is 128 MiB of doubles. A loop whose privatization would
+  /// exceed this partitions its output when it can (which allocates
+  /// nothing); otherwise it is left sequential at that level and an
+  /// inner annotated loop (typically with disjoint writes) runs
+  /// parallel instead.
   size_t PrivatizationBudget = size_t(1) << 24;
   /// DEPRECATED shim for Engines (one release): equivalent to listing
   /// Engine::Fused. Run the plan-specialization pass
@@ -141,10 +156,13 @@ struct ExecOptions {
   /// the same discard-partial-results contract as deadlines.
   CancelToken *Cancel = nullptr;
   /// Hard ceiling, in bytes, on privatized-accumulator storage for one
-  /// parallel loop (all tasks summed); 0 = unlimited. Distinct from
-  /// PrivatizationBudget (elements, a performance heuristic): this is
-  /// a resource bound — a loop that would exceed it degrades to the
-  /// inner disjoint-write parallelization instead of allocating.
+  /// parallel loop (all tasks summed, as obs::LoopStat::PrivBytes
+  /// reports it); 0 = unlimited. Distinct from PrivatizationBudget
+  /// (elements, a performance heuristic): this is a resource bound — a
+  /// loop that would exceed it partitions its output when it can, and
+  /// otherwise degrades to the inner disjoint-write parallelization
+  /// instead of allocating. Partitioned loops allocate nothing, so no
+  /// budget demotes them.
   size_t MemoryBudgetBytes = 0;
   /// Emit execution trace spans (observability/Trace.h): prepare()
   /// turns the process-wide tracing flag on, after which this executor

@@ -57,7 +57,13 @@
 /// per-row prebound locator positions — lives on the stack: one
 /// MicroKernel may run concurrently from many task contexts, and a
 /// task range re-derives its prebound state at its own bind, keeping
-/// split execution bit-reproducible.
+/// split execution bit-reproducible. Under output partitioning a task
+/// runs the whole nest with one descendant loop clamped to the task's
+/// coordinates (ExecCtx::PartLoop); a nest reaches its child loops
+/// through PlanLoop::exec, which intersects the clamp with the lifted
+/// bounds, so the drivers seek to it like any other lower bound. (A
+/// blocked engine never has the partition loop as its child: its nest
+/// variable indexes every write, so its nest never privatizes.)
 ///
 //===----------------------------------------------------------------------===//
 

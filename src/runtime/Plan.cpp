@@ -198,6 +198,10 @@ void PlanLoop::exec(ExecCtx &C) {
     Lo = std::max(Lo, C.IndexVal[S] + D);
   for (const auto &[S, D] : HiTerms)
     Hi = std::min(Hi, C.IndexVal[S] + D);
+  if (C.PartLoop == this) {
+    Lo = std::max(Lo, C.PartLo);
+    Hi = std::min(Hi, C.PartHi);
+  }
   if (Lo > Hi)
     return;
   if (Par.Enabled)
@@ -250,13 +254,17 @@ std::vector<ChunkRange> PlanLoop::makeChunks(int64_t Lo, int64_t Hi) const {
     Chunks = triangleBalanced(Lo, Hi, Par.Threads, Par.TriDepth);
     break;
   }
-  if (BlockAlign > 1)
-    alignChunksToPanels(Chunks, BlockAlign);
+  const unsigned Align = Par.Part ? Par.Part->BlockAlign : BlockAlign;
+  if (Align > 1)
+    alignChunksToPanels(Chunks, Align);
   return Chunks;
 }
 
 void PlanLoop::execParallel(ExecCtx &C, int64_t Lo, int64_t Hi) {
-  std::vector<ChunkRange> Chunks = makeChunks(Lo, Hi);
+  // A partitioned loop cuts its tasks from the partition loop's extent;
+  // every task then runs this loop's full [Lo, Hi].
+  std::vector<ChunkRange> Chunks =
+      Par.Part ? makeChunks(0, Par.Part->Extent - 1) : makeChunks(Lo, Hi);
   if (Chunks.size() <= 1) {
     execRange(C, Lo, Hi);
     return;
@@ -283,6 +291,11 @@ void PlanLoop::execParallel(ExecCtx &C, int64_t Lo, int64_t Hi) {
       std::fill(Par.TaskCtx[T].LoopNs.begin(),
                 Par.TaskCtx[T].LoopNs.end(), uint64_t(0));
       Par.TaskCtx[T].MergeNs = 0;
+    }
+    if (Par.Part) {
+      Par.TaskCtx[T].PartLoop = Par.Part;
+      Par.TaskCtx[T].PartLo = Chunks[T].Lo;
+      Par.TaskCtx[T].PartHi = Chunks[T].Hi;
     }
   }
   for (unsigned T = 0; T < NT; ++T)
@@ -315,33 +328,15 @@ void PlanLoop::execParallel(ExecCtx &C, int64_t Lo, int64_t Hi) {
             B.assign(PT.Elems, PT.Identity);
           TC.OutPtr[PT.OutId] = B.data();
         }
-        execRange(TC, Chunks[T].Lo, Chunks[T].Hi);
+        if (Par.Part)
+          execRange(TC, Lo, Hi);
+        else
+          execRange(TC, Chunks[T].Lo, Chunks[T].Hi);
       },
       Stop);
 
-  if (C.Ctrl && C.Ctrl->stopped()) {
-    // Abort: discard the partial privatized results instead of merging
-    // them. Dropping the buffers (instead of re-filling) keeps the
-    // between-runs identity invariant — the next execution re-fills on
-    // first use. The Executor discards the shared output arrays.
-    for (std::vector<double> &B : Par.Buffers)
-      B.clear();
-    return;
-  }
-
-  // Merge in task order: the decomposition (not the thread schedule)
-  // determines the floating-point result. Accumulators reset to the
-  // identity in the same sweep, restoring the between-runs invariant
-  // without a separate fill pass.
-  const uint64_t MergeStart = obs::nowNs();
-  for (unsigned T = 0; T < NT; ++T) {
-    C.Local.SparseReads += Par.TaskCtx[T].Local.SparseReads;
-    C.Local.Reductions += Par.TaskCtx[T].Local.Reductions;
-    C.Local.ScalarOps += Par.TaskCtx[T].Local.ScalarOps;
-    C.Local.OutputWrites += Par.TaskCtx[T].Local.OutputWrites;
-    C.Local.FusedBlockedPanels += Par.TaskCtx[T].Local.FusedBlockedPanels;
-    C.Local.FusedBlockedStores += Par.TaskCtx[T].Local.FusedBlockedStores;
-  }
+  // Per-loop trace aggregates fold in before the abort check, so an
+  // aborted run's report still shows how far its tasks got.
   if (C.TraceOn)
     for (unsigned T = 0; T < NT; ++T) {
       const ExecCtx &TC = Par.TaskCtx[T];
@@ -352,6 +347,37 @@ void PlanLoop::execParallel(ExecCtx &C, int64_t Lo, int64_t Hi) {
       }
       C.MergeNs += TC.MergeNs;
     }
+
+  if (C.Ctrl && C.Ctrl->stopped()) {
+    // Abort: discard the partial privatized results instead of merging
+    // them. Dropping the buffers (instead of re-filling) keeps the
+    // between-runs identity invariant — the next execution re-fills on
+    // first use. The Executor discards the shared output arrays (which
+    // partitioned tasks wrote directly).
+    for (std::vector<double> &B : Par.Buffers)
+      B.clear();
+    return;
+  }
+
+  // Counter deltas sum in task order. A partitioned or disjoint loop
+  // is done here: its tasks wrote disjoint cells in place, so there is
+  // nothing to merge (and no merge time to report).
+  for (unsigned T = 0; T < NT; ++T) {
+    C.Local.SparseReads += Par.TaskCtx[T].Local.SparseReads;
+    C.Local.Reductions += Par.TaskCtx[T].Local.Reductions;
+    C.Local.ScalarOps += Par.TaskCtx[T].Local.ScalarOps;
+    C.Local.OutputWrites += Par.TaskCtx[T].Local.OutputWrites;
+    C.Local.FusedBlockedPanels += Par.TaskCtx[T].Local.FusedBlockedPanels;
+    C.Local.FusedBlockedStores += Par.TaskCtx[T].Local.FusedBlockedStores;
+  }
+  if (NPriv == 0 && Par.PrivScalars.empty())
+    return;
+
+  // Merge in task order: the decomposition (not the thread schedule)
+  // determines the floating-point result. Accumulators reset to the
+  // identity in the same sweep, restoring the between-runs invariant
+  // without a separate fill pass.
+  const uint64_t MergeStart = obs::nowNs();
   for (const PrivScalar &S : Par.PrivScalars)
     for (unsigned T = 0; T < NT; ++T)
       C.ScalarVal[S.Slot] = evalOp(S.Op, C.ScalarVal[S.Slot],

@@ -46,6 +46,7 @@ class ThreadPool;
 namespace detail {
 
 class MicroKernel;
+class PlanLoop;
 
 /// Shared cooperative-stop state of one controlled run (cancellation
 /// token and/or absolute deadline). One instance per Executor, armed
@@ -145,6 +146,12 @@ struct ExecCtx {
   RunControl *Ctrl = nullptr;
   /// Per-context decimation tick for checkpointStop's clock reads.
   uint32_t PollTick = 0;
+  /// Output partitioning: inside a partitioned task, the loop whose
+  /// coordinates the task owns and the owned range [PartLo, PartHi];
+  /// PlanLoop::exec intersects that loop's lifted bounds with it. Null
+  /// outside partitioned tasks.
+  const PlanLoop *PartLoop = nullptr;
+  int64_t PartLo = 0, PartHi = -1;
 };
 
 /// Context for PlanNode::rebind — repatching a compiled plan onto new
@@ -388,6 +395,13 @@ public:
     bool Enabled = false;
     SchedulePolicy Policy = SchedulePolicy::Static;
     int TriDepth = 0;
+    /// Output partitioning (parallel/ParallelAnalysis.h): the
+    /// descendant loop whose extent tasks are cut from (TriDepth and
+    /// the panel alignment are then that loop's). Each task runs this
+    /// loop's full range with the descendant clamped to its chunk, so
+    /// tasks write disjoint cells of the shared outputs directly —
+    /// no accumulators, no merge. Null for chunked loops.
+    PlanLoop *Part = nullptr;
     unsigned Threads = 1;
     ThreadPool *Pool = nullptr;
     std::vector<PrivTensor> PrivTensors;

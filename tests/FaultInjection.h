@@ -9,19 +9,23 @@
 /// corrupted tensor with ErrCode::InvalidTensor — and therefore that an
 /// Executor with ValidateInputs=Deep refuses to run over it — without
 /// aborting, crashing, or tripping a sanitizer. See docs/ROBUSTNESS.md
-/// for the corpus format.
+/// for the corpus format. Also holds the helpers the cancellation tests
+/// use to stop a run from outside while it executes.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef SYSTEC_TESTS_FAULTINJECTION_H
 #define SYSTEC_TESTS_FAULTINJECTION_H
 
+#include "support/Status.h"
 #include "tensor/Tensor.h"
 
+#include <chrono>
 #include <cstddef>
 #include <limits>
 #include <optional>
 #include <string>
+#include <thread>
 #include <vector>
 
 namespace systec {
@@ -192,6 +196,25 @@ inline std::optional<std::string> injectFault(Tensor &T, Fault F) {
   }
   return std::nullopt;
 }
+
+/// Cancels \p Tok from a helper thread once \p Delay has passed — the
+/// mid-run stop for cancellation tests (a run sized to outlast the
+/// delay is cancelled while its tasks are writing). The destructor
+/// joins, so the token is never touched after the scope ends.
+class ScopedCancelAfter {
+public:
+  ScopedCancelAfter(CancelToken &Tok, std::chrono::milliseconds Delay)
+      : Th([&Tok, Delay] {
+          std::this_thread::sleep_for(Delay);
+          Tok.cancel();
+        }) {}
+  ~ScopedCancelAfter() { Th.join(); }
+  ScopedCancelAfter(const ScopedCancelAfter &) = delete;
+  ScopedCancelAfter &operator=(const ScopedCancelAfter &) = delete;
+
+private:
+  std::thread Th;
+};
 
 } // namespace fault
 } // namespace systec

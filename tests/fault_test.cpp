@@ -16,10 +16,14 @@
 
 #include "FaultInjection.h"
 #include "FuzzHarness.h"
+#include "kernels/Kernels.h"
+#include "observability/Trace.h"
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -262,6 +266,169 @@ TEST(HardenedExecution, MemoryBudgetDegradesWithoutChangingResults) {
   Tensor Ref = run(R.Naive, F1, Unrestricted);
   Tensor Out = run(R.Naive, F2, Budgeted);
   EXPECT_EQ(Out.vals(), Ref.vals());
+}
+
+//===----------------------------------------------------------------------===//
+// Output partitioning: tasks write the shared output in place
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// ssyrk at four threads on the interpreter, where both nests run
+/// output-partitioned (every task writes its columns of C directly)
+/// and a run lasts long enough for a stop to land while the tasks are
+/// writing. C starts from a nonzero pattern, so any write left behind
+/// by an abort would show.
+struct PartitionedSsyrk {
+  CompileResult R = compileEinsum(makeSsyrk());
+  Tensor A;
+  Tensor C;
+  std::vector<double> Before;
+
+  explicit PartitionedSsyrk(int64_t N)
+      : A([N] {
+          Rng Rn(31337);
+          return generateSparseMatrix(N, N, 96 * N, Rn,
+                                      TensorFormat::csf(2));
+        }()),
+        C(Tensor::dense({N, N})) {
+    for (size_t I = 0; I < C.vals().size(); ++I)
+      C.vals()[I] = 0.25 * static_cast<double>(I % 7);
+    Before = C.vals();
+  }
+
+  static ExecOptions options() {
+    ExecOptions O;
+    O.Threads = 4;
+    O.Engines = {Engine::Interp};
+    return O;
+  }
+
+  /// Calls of the partition (j) loops in \p Rep: how far tasks got.
+  static uint64_t partitionLoopCalls(const obs::ExecReport &Rep) {
+    uint64_t Calls = 0;
+    for (const obs::LoopStat &L : Rep.Loops)
+      if (L.Label.rfind("loop j ", 0) == 0)
+        Calls += L.Calls;
+    return Calls;
+  }
+
+  static void expectPartitioned(const obs::ExecReport &Rep) {
+    unsigned Partitioned = 0;
+    for (const obs::LoopStat &L : Rep.Loops) {
+      Partitioned += L.Parallel == "partitioned on j";
+      EXPECT_EQ(L.PrivBytes, 0u) << L.Label;
+    }
+    EXPECT_EQ(Partitioned, 2u);
+  }
+};
+
+/// Restores the process-wide tracing flag on scope exit.
+struct TracingOn {
+  TracingOn() { obs::setTracingEnabled(true); }
+  ~TracingOn() {
+    obs::setTracingEnabled(false);
+    obs::clearTrace();
+  }
+};
+
+/// Runs a partitioned ssyrk under the controlled options \p O (a cancel
+/// token or a deadline); \p Start arms the stop just before the run and
+/// returns a scope object that keeps it pending. Checks the typed
+/// status, that tasks ran before the stop and were cut short, that the
+/// output is restored bit for bit, and that the executor then completes
+/// an uncontrolled run with the reference result.
+template <typename StartFn>
+void expectCleanMidRunStop(const ExecOptions &O, ErrCode Code,
+                           const char *Reason, StartFn Start) {
+  TracingOn Trace;
+  const int64_t N = 600;
+  PartitionedSsyrk F(N);
+  // Uncontrolled reference run: the result and the full loop-call count.
+  uint64_t FullCalls = 0;
+  std::vector<double> Full;
+  {
+    Tensor C = Tensor::dense({N, N});
+    C.vals() = F.Before;
+    Executor Ex(F.R.Optimized, PartitionedSsyrk::options());
+    Ex.bind("A", &F.A).bind("C", &C);
+    ASSERT_TRUE(Ex.tryPrepare().ok());
+    obs::ExecReport Rep;
+    ASSERT_TRUE(Ex.tryRunBody(&Rep).ok());
+    PartitionedSsyrk::expectPartitioned(Rep);
+    FullCalls = PartitionedSsyrk::partitionLoopCalls(Rep);
+    Full = C.vals();
+  }
+  Executor Ex(F.R.Optimized, O);
+  Ex.bind("A", &F.A).bind("C", &F.C);
+  ASSERT_TRUE(Ex.tryPrepare().ok());
+  obs::ExecReport Rep;
+  Status S = [&] {
+    auto Pending = Start();
+    return Ex.tryRunBody(&Rep);
+  }();
+  ASSERT_FALSE(S.ok()) << "the run finished before the stop landed";
+  EXPECT_EQ(S.code(), Code);
+  EXPECT_EQ(Rep.AbortReason, Reason);
+  PartitionedSsyrk::expectPartitioned(Rep);
+  const uint64_t Calls = PartitionedSsyrk::partitionLoopCalls(Rep);
+  EXPECT_GT(Calls, 0u) << "no task ran before the stop";
+  EXPECT_LT(Calls, FullCalls) << "the stop did not cut the run short";
+  EXPECT_TRUE(F.C.vals() == F.Before) << "partial writes not discarded";
+
+  ASSERT_TRUE(
+      Ex.rebind({{"A", &F.A}, {"C", &F.C}}, PartitionedSsyrk::options())
+          .ok());
+  ASSERT_TRUE(Ex.tryRunBody().ok());
+  EXPECT_TRUE(F.C.vals() == Full);
+}
+
+} // namespace
+
+TEST(HardenedExecution, CancelMidRunRestoresPartitionedOutput) {
+  CancelToken Tok;
+  ExecOptions O = PartitionedSsyrk::options();
+  O.Cancel = &Tok;
+  expectCleanMidRunStop(O, ErrCode::Cancelled, "cancelled", [&Tok] {
+    return std::make_unique<ScopedCancelAfter>(Tok,
+                                               std::chrono::milliseconds(20));
+  });
+}
+
+TEST(HardenedExecution, DeadlineMidRunRestoresPartitionedOutput) {
+  ExecOptions O = PartitionedSsyrk::options();
+  O.DeadlineMs = 20;
+  expectCleanMidRunStop(O, ErrCode::DeadlineExceeded, "deadline-exceeded",
+                        [] { return 0; });
+}
+
+TEST(HardenedExecution, MemoryBudgetDoesNotDemotePartitionedLoops) {
+  // Output partitioning allocates nothing, so even a one-byte budget
+  // keeps both ssyrk nests on their outer loops (privatizing C would
+  // have demoted them to an inner loop).
+  PartitionedSsyrk F(64);
+  std::vector<double> Ref;
+  for (size_t Budget : {size_t(0), size_t(1)}) {
+    SCOPED_TRACE("budget " + std::to_string(Budget));
+    ExecOptions O;
+    O.Threads = 4;
+    O.MemoryBudgetBytes = Budget;
+    Tensor C = Tensor::dense({64, 64});
+    Executor Ex(F.R.Optimized, O);
+    Ex.bind("A", &F.A).bind("C", &C);
+    ASSERT_TRUE(Ex.tryPrepare().ok());
+    obs::ExecReport Rep;
+    ASSERT_TRUE(Ex.tryRunBody(&Rep).ok());
+    PartitionedSsyrk::expectPartitioned(Rep);
+    for (const obs::LoopStat &L : Rep.Loops)
+      if (L.Label.rfind("loop k ", 0) == 0) {
+        EXPECT_EQ(L.Parallel, "partitioned on j");
+      }
+    if (Ref.empty())
+      Ref = C.vals();
+    else
+      EXPECT_TRUE(C.vals() == Ref);
+  }
 }
 
 TEST(HardenedExecution, MalformedKernelInputsReturnTypedStatus) {

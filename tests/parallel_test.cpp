@@ -255,7 +255,51 @@ TEST(ParallelAnalysis, SsyrkOuterLoopPrivatizesAndInnerIsDisjoint) {
     EXPECT_FALSE(LPj.needsPrivatization());
     ASSERT_TRUE(LPj.Tensors.count("C"));
     EXPECT_EQ(LPj.Tensors.at("C"), WriteClass::Disjoint);
+
+    // ...so the k loop may partition C by that j loop instead of
+    // privatizing it, balanced by j's own (triangular) work shape.
+    ASSERT_EQ(Cur->loopIndex(), "j");
+    EXPECT_EQ(LPk.PartitionVar, "j");
+    EXPECT_EQ(LPk.PartitionTriangleDepth, LPj.TriangleDepth);
+    EXPECT_EQ(LPk.PartitionTriangleDepth, 1);
+    EXPECT_TRUE(LPj.PartitionVar.empty()) << "j privatizes nothing";
   }
+}
+
+TEST(ParallelAnalysis, PartitionNeedsEveryWriteInsideTheDescendant) {
+  // ssymv's off-diagonal nest writes y[j] outside its i loop, and ttm's
+  // and mttkrp3's outer loops write outputs their next loop does not
+  // index: none of them can partition.
+  for (const Einsum &E : {makeSsymv(), makeBellmanFord(), makeTtm(),
+                          makeMttkrp(3)}) {
+    CompileResult R = compileEinsum(E);
+    std::vector<StmtPtr> Nests = topLoops(R.Optimized.Body);
+    ASSERT_GE(Nests.size(), 1u);
+    LoopParallelism LP = analyzeLoopParallelism(Nests[0]);
+    ASSERT_TRUE(LP.Safe) << E.Name;
+    EXPECT_FALSE(LP.TensorMergeOps.empty()) << E.Name;
+    EXPECT_TRUE(LP.PartitionVar.empty()) << E.Name;
+  }
+}
+
+TEST(ParallelAnalysis, DisjointNeedsTheVariableInOneFixedMode) {
+  // A loop writing one tensor with its variable in two different modes
+  // is not disjoint (iterations a and b both write C[a,b]), so it
+  // privatizes, and an outer loop cannot partition by it:
+  // for k: for j: { C[i,j] += ..; C[j,i] += .. }.
+  StmtPtr Inner = Stmt::loop(
+      "j", Stmt::block({Stmt::assign(Expr::access("C", {"i", "j"}),
+                                     OpKind::Add, Expr::access("A", {"k"})),
+                        Stmt::assign(Expr::access("C", {"j", "i"}),
+                                     OpKind::Add, Expr::access("A", {"k"}))}));
+  LoopParallelism LPj = analyzeLoopParallelism(Inner);
+  ASSERT_TRUE(LPj.Safe);
+  ASSERT_TRUE(LPj.Tensors.count("C"));
+  EXPECT_EQ(LPj.Tensors.at("C"), WriteClass::Reduction);
+  LoopParallelism LP = analyzeLoopParallelism(Stmt::loop("k", Inner));
+  ASSERT_TRUE(LP.Safe);
+  ASSERT_TRUE(LP.TensorMergeOps.count("C"));
+  EXPECT_TRUE(LP.PartitionVar.empty());
 }
 
 TEST(ParallelAnalysis, MinReductionPrivatizesWithMin) {
@@ -463,18 +507,39 @@ TEST(Determinism, RealValuedWithinTolerance) {
 }
 
 TEST(Determinism, PrivatizationBudgetFallbackStaysCorrect) {
-  // A budget too small for ssyrk's dense C forces the executor off the
-  // outer (privatizing) k loop onto the inner disjoint j loop.
-  DetCase C = std::move(determinismCases()[1]);
-  ASSERT_EQ(C.Name, "ssyrk");
+  // mttkrp3's outer l loops privatize C at the default budget; a budget
+  // too small for C forces the executor onto an inner disjoint-write
+  // loop instead (mttkrp3 cannot partition). The report names the loop
+  // that took over.
+  DetCase C = std::move(determinismCases()[2]);
+  ASSERT_EQ(C.Name, "mttkrp3");
   CompileResult R = compileEinsum(C.E);
-  ExecOptions Base;
-  Tensor Ref = runKernel(R.Optimized, C, Base);
-  ExecOptions O;
-  O.Threads = 4;
-  O.PrivatizationBudget = 1024; // << N*N elements
-  Tensor Out = runKernel(R.Optimized, C, O);
-  EXPECT_EQ(Tensor::maxAbsDiff(Ref, Out), 0.0);
+  Tensor Ref = runKernel(R.Optimized, C, ExecOptions());
+  for (size_t Budget : {size_t(1) << 24, size_t(16)}) {
+    SCOPED_TRACE("budget " + std::to_string(Budget));
+    ExecOptions O;
+    O.Threads = 4;
+    O.PrivatizationBudget = Budget;
+    Tensor Out = Tensor::dense(C.OutDims, 0.0);
+    Executor E(R.Optimized, O);
+    for (auto &[Name, T] : C.Inputs)
+      E.bind(Name, &T);
+    E.bind("C", &Out);
+    E.prepare();
+    E.run();
+    EXPECT_EQ(Tensor::maxAbsDiff(Ref, Out), 0.0);
+    const bool Fits = Budget > 4 * Out.vals().size();
+    unsigned Disjoint = 0;
+    for (const obs::LoopStat &L : E.lastReport().Loops) {
+      if (L.Label.rfind("loop l ", 0) == 0) {
+        EXPECT_EQ(L.Parallel, Fits ? "privatized C" : "");
+        EXPECT_EQ(L.PrivBytes,
+                  Fits ? 4 * Out.vals().size() * sizeof(double) : 0u);
+      }
+      Disjoint += L.Parallel == "disjoint";
+    }
+    EXPECT_EQ(Disjoint > 0, !Fits) << "inner fallback loop";
+  }
 }
 
 //===----------------------------------------------------------------------===//
@@ -527,6 +592,77 @@ TEST(ParallelRuntime, SparseTopLevelWalkerSplits) {
     E.prepare();
     E.run();
     EXPECT_EQ(Y.at({0}), Total) << "threads " << Threads;
+  }
+}
+
+namespace {
+
+/// One ssyrk run: the output and its report.
+struct SsyrkRun {
+  Tensor C;
+  obs::ExecReport Report;
+};
+
+SsyrkRun runSsyrk(const Kernel &K, Tensor &A, const ExecOptions &O) {
+  const int64_t N = A.dim(0);
+  SsyrkRun Out{Tensor::dense({N, N}), {}};
+  Executor E(K, O);
+  E.bind("A", &A).bind("C", &Out.C);
+  E.prepare();
+  Status S = E.tryRunBody(&Out.Report);
+  EXPECT_TRUE(S.ok()) << S.str();
+  return Out;
+}
+
+void expectSameCounters(const CounterSnapshot &A, const CounterSnapshot &B) {
+  EXPECT_EQ(A.SparseReads, B.SparseReads);
+  EXPECT_EQ(A.Reductions, B.Reductions);
+  EXPECT_EQ(A.ScalarOps, B.ScalarOps);
+  EXPECT_EQ(A.OutputWrites, B.OutputWrites);
+}
+
+} // namespace
+
+TEST(ParallelRuntime, PartitionedSsyrkBitIdenticalOnRealData) {
+  // Output partitioning folds every cell of C in the one-thread order,
+  // so uniform real values — where any reordered addition shows in the
+  // low bits — must come out bit-identical at every thread count and
+  // schedule, with the four work counters exact. Extents: 150 is not a
+  // multiple of the 8-wide panels, 37 is odd, and 5 has fewer columns
+  // than eight threads. Every engine that reaches the partition loop
+  // runs: blocked panels, fused nests, and the interpreter.
+  CompileResult R = compileEinsum(makeSsyrk());
+  Rng Rn(4242);
+  const std::vector<std::vector<Engine>> EngineLists = {
+      {}, {Engine::Fused, Engine::Interp}, {Engine::Interp}};
+  for (int64_t N : {int64_t(150), int64_t(37), int64_t(5)}) {
+    Tensor A = generateSparseMatrix(N, N, 6 * N, Rn, TensorFormat::csf(2));
+    for (const std::vector<Engine> &Engines : EngineLists) {
+      ExecOptions Base;
+      Base.Engines = Engines;
+      SsyrkRun Ref = runSsyrk(R.Optimized, A, Base);
+      for (unsigned Threads : {2u, 3u, 4u, 8u})
+        for (SchedulePolicy P :
+             {SchedulePolicy::Static, SchedulePolicy::Dynamic,
+              SchedulePolicy::TriangleBalanced}) {
+          SCOPED_TRACE("n " + std::to_string(N) + " engines " +
+                       enginesSummary(Engines) + " threads " +
+                       std::to_string(Threads) + " schedule " +
+                       schedulePolicyName(P));
+          ExecOptions O = Base;
+          O.Threads = Threads;
+          O.Schedule = P;
+          SsyrkRun Out = runSsyrk(R.Optimized, A, O);
+          EXPECT_TRUE(Out.C.vals() == Ref.C.vals()) << "values differ";
+          expectSameCounters(Ref.Report.Counters, Out.Report.Counters);
+          EXPECT_EQ(Ref.Report.structureKey(), Out.Report.structureKey());
+          unsigned Partitioned = 0;
+          for (const obs::LoopStat &L : Out.Report.Loops)
+            Partitioned += L.Parallel == "partitioned on j";
+          EXPECT_EQ(Partitioned, 2u);
+          EXPECT_EQ(Out.Report.phaseNs("merge"), 0u);
+        }
+    }
   }
 }
 

@@ -19,6 +19,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 
 using namespace systec;
 
@@ -518,6 +519,68 @@ TEST(PerfSmoke, EpilogueWritesExactlyTheNonCanonicalCells) {
       counters().reset();
       E.runEpilogue();
       EXPECT_EQ(counters().snapshot().OutputWrites, Rows * N * (N - 1) / 2);
+    }
+  }
+}
+
+TEST(PerfSmoke, OutputPartitioningFiresOnSsyrkOnly) {
+  // At four threads both ssyrk nests partition C by its column j: the
+  // outer k loops run in every task with j clamped, so nothing is
+  // privatized and the merge phase is exactly zero. ssymv (and every
+  // other paper kernel) keeps its privatized accumulators: its outer
+  // nest writes y[j] outside the i loop.
+  std::vector<SmokeCase> Cases = makeCases();
+  {
+    Rng R(20260802);
+    const int64_t N = 40;
+    SmokeCase C{"bellmanford", makeBellmanFord(), {}, {N}, "y",
+                std::numeric_limits<double>::infinity()};
+    C.Inputs.emplace("A", generateSymmetricTensor(2, N, 4 * N, R,
+                                                  TensorFormat::csf(2)));
+    C.Inputs.emplace("d", generateDenseVector(N, R));
+    Cases.push_back(std::move(C));
+  }
+  for (SmokeCase &C : Cases) {
+    SCOPED_TRACE(C.Name);
+    CompileResult R = compileEinsum(C.E);
+    ExecOptions O;
+    O.Threads = 4;
+    Executor E(R.Optimized, O);
+    Tensor Out = Tensor::dense(C.OutDims, 0.0);
+    Out.setAllValues(C.OutInit);
+    for (auto &[Name, T] : C.Inputs)
+      E.bind(Name, &T);
+    E.bind(C.OutName, &Out);
+    E.prepare();
+    E.run();
+    const obs::ExecReport &Rep = E.lastReport();
+    unsigned Partitioned = 0, Privatized = 0;
+    uint64_t PrivBytes = 0;
+    for (const obs::LoopStat &L : Rep.Loops) {
+      Partitioned += L.Parallel.rfind("partitioned on ", 0) == 0;
+      Privatized += L.Parallel.rfind("privatized ", 0) == 0;
+      PrivBytes += L.PrivBytes;
+    }
+    if (C.Name == "ssyrk") {
+      EXPECT_EQ(Partitioned, 2u);
+      EXPECT_EQ(Privatized, 0u);
+      EXPECT_EQ(PrivBytes, 0u);
+      for (const obs::LoopStat &L : Rep.Loops)
+        if (!L.Parallel.empty()) {
+          EXPECT_EQ(L.Parallel, "partitioned on j") << L.Label;
+        }
+      EXPECT_EQ(Rep.phaseNs("merge"), 0u);
+    } else {
+      EXPECT_EQ(Partitioned, 0u);
+    }
+    if (C.Name == "ssymv") {
+      EXPECT_EQ(Privatized, 2u);
+      for (const obs::LoopStat &L : Rep.Loops)
+        if (!L.Parallel.empty()) {
+          EXPECT_EQ(L.Parallel, "privatized y") << L.Label;
+          EXPECT_EQ(L.PrivBytes, 4 * C.OutDims[0] * sizeof(double));
+        }
+      EXPECT_GT(Rep.phaseNs("merge"), 0u);
     }
   }
 }

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Bench-regression gate over BENCH_microkernels.json / BENCH_service.json.
+"""Bench-regression gate over BENCH_microkernels/service/threads.json.
 
 Compares a freshly produced benchmark record file against the
 checked-in baseline (bench/baselines/*.json). The gated
@@ -26,6 +26,14 @@ the rebind repatch), and the open-loop p99 latency is additionally
 checked as an absolute guard with its own wide tolerance (wall-clock
 transfers poorly across machines; the ratio gate is the strict one).
 
+With --threads the gated records come from bench_threads: the ratio is
+each configuration's *speedup over the same run's one-thread time*
+(t1/auto ms over tN/schedule ms, both from the fresh file, so machine
+speed cancels). Gated cells must reach an absolute floor (ssyrk at four
+threads >= 1.0x under every schedule: adding threads may not make it
+slower); the ROADMAP's 1.5x target is reported next to it, and the
+checked-in baseline's speedups are printed for comparison only.
+
 Intended uses:
 
   # after running bench_microkernels in the build tree
@@ -34,9 +42,13 @@ Intended uses:
   # after running bench_service
   python3 tools/bench_check.py --service --fresh build/BENCH_service.json
 
+  # after running bench_threads
+  python3 tools/bench_check.py --threads --fresh build/BENCH_threads.json
+
   # or via the build system
   cmake --build build --target check_bench
   cmake --build build --target check_service
+  cmake --build build --target check_threads
 
 CI runs this as a non-blocking report job (the reference container is
 1-core, so wall-time-derived gating stays advisory there); locally it
@@ -60,6 +72,11 @@ NATIVE_TOLERANCE = 0.45
 # 1-core CI runner, so its band is deliberately wide.
 SERVICE_TOLERANCE = 0.45
 SERVICE_P99_TOLERANCE = 2.0  # p99 may grow up to 3x baseline
+# The --threads gates: (kernel, threads) -> minimum speedup over the
+# same run's one-thread time, required under every schedule. The
+# target column is reported, not gated.
+THREADS_FLOORS = {("ssyrk", 4): 1.0}
+THREADS_TARGETS = {("ssyrk", 4): 1.5}
 
 
 def load_records(path):
@@ -168,6 +185,65 @@ def print_phase_breakdown(fresh_records, keys, impls=("interp", "fused")):
             print(f"{kernel:<10} {workload:<18} {impl:<7}{cells}")
 
 
+def thread_speedups(records):
+    """(kernel, workload, threads, schedule) -> speedup over the same
+    file's one-thread run of that (kernel, workload)."""
+    ms = {}
+    for rec in records:
+        value = rec.get("ms")
+        if not _numeric(value) or value <= 0:
+            continue
+        key = (rec.get("kernel"), rec.get("workload"), rec.get("threads"),
+               rec.get("schedule"))
+        ms[key] = value
+    table = {}
+    for (kernel, workload, threads, schedule), value in ms.items():
+        one = ms.get((kernel, workload, 1, "auto"))
+        if one is not None and threads != 1:
+            table[(kernel, workload, threads, schedule)] = one / value
+    return table
+
+
+def check_threads(fresh_records, base_records):
+    """The --threads mode: floors on within-run speedups. Returns the
+    list of failures."""
+    fresh = thread_speedups(fresh_records)
+    base = thread_speedups(base_records)
+    failures = []
+    header = (f"{'kernel':<8} {'workload':<12} {'threads':>7} "
+              f"{'schedule':<9} {'baseline':>9} {'fresh':>8} {'floor':>6} "
+              f"{'target':>7}  status")
+    print(header)
+    print("-" * len(header))
+    for key in sorted(fresh, key=lambda k: (k[0], k[1], k[2], k[3])):
+        kernel, workload, threads, schedule = key
+        f = fresh[key]
+        b = base.get(key)
+        floor = THREADS_FLOORS.get((kernel, threads))
+        target = THREADS_TARGETS.get((kernel, threads))
+        if floor is None:
+            status = "info"
+        elif f >= floor:
+            status = "ok"
+        else:
+            status = "BELOW FLOOR"
+            failures.append(
+                f"{kernel}/{workload} t{threads}/{schedule}: speedup "
+                f"{f:.2f}x < floor {floor:.2f}x")
+        if target is not None and status == "ok":
+            status += " (target met)" if f >= target else " (below target)"
+        b_txt = f"{b:>8.2f}x" if b is not None else f"{'---':>9}"
+        fl_txt = f"{floor:>5.1f}x" if floor is not None else f"{'':>6}"
+        t_txt = f"{target:>6.1f}x" if target is not None else f"{'':>7}"
+        print(f"{kernel:<8} {workload:<12} {threads:>7} {schedule:<9} "
+              f"{b_txt} {f:>7.2f}x {fl_txt} {t_txt}  {status}")
+    for kernel, threads in sorted(THREADS_FLOORS):
+        if not any(k[0] == kernel and k[2] == threads for k in fresh):
+            failures.append(
+                f"{kernel} t{threads}: no gated record in the fresh run")
+    return failures
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     repo_root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -179,16 +255,25 @@ def main():
         "latency as a wide-band absolute guard",
     )
     parser.add_argument(
+        "--threads",
+        action="store_true",
+        help="gate bench_threads records instead: speedup over the same "
+        "run's one-thread time, with absolute floors (ssyrk at four "
+        "threads >= 1.0x under every schedule)",
+    )
+    parser.add_argument(
         "--fresh",
         default=None,
         help="freshly generated record file (default: "
-        "./BENCH_microkernels.json, or ./BENCH_service.json with --service)",
+        "./BENCH_microkernels.json, or ./BENCH_service.json with --service, "
+        "./BENCH_threads.json with --threads)",
     )
     parser.add_argument(
         "--baseline",
         default=None,
         help="checked-in baseline record file (default: "
-        "bench/baselines/microkernels.json, or service.json with --service)",
+        "bench/baselines/microkernels.json, or service.json with --service, "
+        "threads.json with --threads)",
     )
     parser.add_argument(
         "--tolerance",
@@ -220,7 +305,8 @@ def main():
     )
     args = parser.parse_args()
 
-    default_name = "service" if args.service else "microkernels"
+    default_name = ("service" if args.service
+                    else "threads" if args.threads else "microkernels")
     if args.fresh is None:
         args.fresh = f"BENCH_{default_name}.json"
     if args.baseline is None:
@@ -229,6 +315,28 @@ def main():
     if args.tolerance is None:
         args.tolerance = SERVICE_TOLERANCE if args.service else DEFAULT_TOLERANCE
     impls = ("cold", "warm") if args.service else ("interp", "fused")
+
+    if args.threads:
+        try:
+            fresh_records = load_records(args.fresh)
+            base_records = load_records(args.baseline)
+        except OSError as err:
+            print(f"bench_check: cannot read record file: {err}\n"
+                  "  (run bench_threads first, or pass --fresh/--baseline "
+                  "explicitly)", file=sys.stderr)
+            return 2
+        except (ValueError, json.JSONDecodeError) as err:
+            print(f"bench_check: malformed record file: {err}",
+                  file=sys.stderr)
+            return 2
+        failures = check_threads(fresh_records, base_records)
+        if failures:
+            print("\nbench_check: FAIL", file=sys.stderr)
+            for r in failures:
+                print(f"  {r}", file=sys.stderr)
+            return 1
+        print("\nbench_check: OK (thread-speedup floors met)")
+        return 0
 
     skipped = []
     try:
