@@ -44,11 +44,7 @@ std::string ExecReport::structureKey() const {
   Out += ";loops:";
   for (const LoopStat &L : Loops)
     Out += L.Label + "/" + L.Engine + "/" + L.Driver + ",";
-  // How many panels the blocked engine runs depends on where task
-  // boundaries cut a sparse nest; every other counter is exact.
-  CounterSnapshot Invariant = Counters;
-  Invariant.FusedBlockedPanels = 0;
-  Out += ";counters:" + counterJson(Invariant);
+  Out += ";counters:" + counterJson(Counters);
   return Out;
 }
 

@@ -100,9 +100,11 @@ struct ExecReport {
   /// drivers, and the counter deltas — everything that must be
   /// invariant across Threads/Schedule for a fixed plan. Excludes all
   /// Ns fields, loop call counts (chunking-dependent), the loops'
-  /// parallel modes and privatized bytes (Threads-dependent), the
-  /// blocked engine's panel count (split wherever a task boundary cuts
-  /// a sparse nest), and worker activity (pool-size-dependent).
+  /// parallel modes and privatized bytes (Threads-dependent), and
+  /// worker activity (pool-size-dependent). The blocked engine's panel
+  /// count stays in: an output-partitioned run splits a panel wherever
+  /// a task boundary cuts a sparse nest, so compare such runs on the
+  /// other counters.
   std::string structureKey() const;
 
   /// {"materialize":0.012,...} — per-phase milliseconds, for bench

@@ -151,7 +151,8 @@ StmtPtr spineLoop(StmtPtr S) {
 
 } // namespace
 
-LoopParallelism analyzeLoopParallelism(const StmtPtr &Loop) {
+LoopParallelism analyzeLoopParallelism(const StmtPtr &Loop,
+                                       bool WithPartition) {
   assert(Loop->kind() == StmtKind::Loop && "expects a loop");
   LoopParallelism LP;
   BodyFacts F;
@@ -226,7 +227,7 @@ LoopParallelism analyzeLoopParallelism(const StmtPtr &Loop) {
 
   // Output partitioning: a privatizing loop whose writes all sit in one
   // descendant loop whose own writes are all disjoint.
-  if (!LP.TensorMergeOps.empty())
+  if (WithPartition && !LP.TensorMergeOps.empty())
     if (StmtPtr D = spineLoop(Loop->body())) {
       LoopParallelism LD = analyzeLoopParallelism(D);
       if (LD.Safe && !LD.needsPrivatization()) {

@@ -31,9 +31,9 @@
 /// disjoint output cells: no accumulators, no merge, and every cell
 /// folds its contributions in the sequential order. The analysis
 /// records D's variable and triangle depth (PartitionVar /
-/// PartitionTriangleDepth); the executor additionally requires that
-/// the outer loop's own iteration charges no counters, since every
-/// task repeats it.
+/// PartitionTriangleDepth) on request; the executor partitions every
+/// loop that qualifies and whose own iteration charges no counters,
+/// since every task repeats it.
 ///
 /// The analysis also classifies the workload shape: canonical-triangle
 /// conditions (inner <= x chains produced by the symmetry passes) make
@@ -76,8 +76,8 @@ struct LoopParallelism {
   int TriangleDepth = 0;
   /// Output partitioning (see the file comment): the variable of the
   /// descendant loop whose extent tasks are cut from, or empty when
-  /// the loop does not qualify. Set only for loops that need tensor
-  /// privatization.
+  /// the loop does not qualify or the analysis was not asked for it.
+  /// Set only for loops that need tensor privatization.
   std::string PartitionVar;
   /// TriangleDepth of the PartitionVar loop: the work shape across the
   /// coordinates the tasks are cut from.
@@ -88,8 +88,12 @@ struct LoopParallelism {
   }
 };
 
-/// Analyzes one Loop statement (kind must be Loop) in isolation.
-LoopParallelism analyzeLoopParallelism(const StmtPtr &Loop);
+/// Analyzes one Loop statement (kind must be Loop) in isolation. The
+/// output-partitioning fields are filled only \p WithPartition: the
+/// runtime asks for them when it activates a loop at Threads > 1, and
+/// the annotation pass, which runs at every thread count, does not.
+LoopParallelism analyzeLoopParallelism(const StmtPtr &Loop,
+                                       bool WithPartition = false);
 
 /// Rewrites \p Root, attaching a ParallelAnnotation to every loop that
 /// analyzeLoopParallelism accepts. Marks every feasible loop along each

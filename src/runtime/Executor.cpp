@@ -373,9 +373,8 @@ private:
   /// its body with nested parallelism suppressed). A loop that needs
   /// privatized accumulators either
   ///  - partitions its output (parallel/ParallelAnalysis.h) when it
-  ///    qualifies, its own iteration charges no counters (every task
-  ///    repeats it), and the accumulators would be larger than that
-  ///    repeated iteration space or would not fit the budgets, or
+  ///    qualifies and its own iteration charges no counters (every
+  ///    task repeats it), or
   ///  - privatizes when the accumulators fit both budgets, or
   ///  - stays sequential, so an inner annotated loop runs parallel.
   ParSetup setUpParallel(const StmtPtr &S, PlanLoop &Loop) {
@@ -383,7 +382,7 @@ private:
     if (InParallel || E.Options.Threads <= 1 ||
         !S->parallelInfo().IsParallel)
       return Out;
-    LoopParallelism LP = analyzeLoopParallelism(S);
+    LoopParallelism LP = analyzeLoopParallelism(S, /*WithPartition=*/true);
     if (!LP.Safe)
       return Out;
     const unsigned TaskCount = E.Options.Schedule == SchedulePolicy::Dynamic
@@ -403,8 +402,7 @@ private:
     const bool Fits = PrivElems * TaskCount <= E.Options.PrivatizationBudget &&
                       (!E.Options.MemoryBudgetBytes ||
                        PrivBytes <= E.Options.MemoryBudgetBytes);
-    bool Partition = !LP.PartitionVar.empty() &&
-                     (!Fits || PrivElems > size_t(Loop.Extent));
+    bool Partition = !LP.PartitionVar.empty();
     for (const PlanLoop::WalkerRef &W : Loop.Walkers)
       Partition &= !(W.Bottom && AccessStates[W.AccessId].SparseFormat);
     if (!Partition && !Fits)

@@ -76,16 +76,15 @@ struct ExecOptions {
   ///  - disjoint: every output is indexed by the loop variable; tasks
   ///    take chunks of the loop and write in place;
   ///  - partitioned: the loop's writes all sit in one descendant loop
-  ///    that indexes them (ssyrk's k loop over its j loop); tasks take
+  ///    that indexes them (ssyrk's k loop over its j loop, the j loop
+  ///    of ssymv's diagonal nest over its i loop); tasks take
   ///    chunks of the descendant, each running the outer loop in full,
   ///    and write disjoint cells in place — bit-identical to Threads=1
   ///    at any thread count and schedule, with no accumulators;
   ///  - privatized: outputs not indexed by the loop variable get
   ///    per-task accumulators merged in task order, so results are
   ///    reproducible for a fixed (Threads, Schedule) pair.
-  /// A loop that could partition does so unless its accumulators would
-  /// be smaller than its own extent (which every task would repeat)
-  /// and fit both budgets below.
+  /// A loop that can partition always does.
   unsigned Threads = 1;
   /// Chunking policy for parallel loops (see parallel/Schedule.h).
   /// Auto resolves to triangle-balanced for loops the analysis marked

@@ -198,12 +198,13 @@ inline std::optional<std::string> injectFault(Tensor &T, Fault F) {
 }
 
 /// Cancels \p Tok from a helper thread once \p Delay has passed — the
-/// mid-run stop for cancellation tests (a run sized to outlast the
-/// delay is cancelled while its tasks are writing). The destructor
-/// joins, so the token is never touched after the scope ends.
+/// mid-run stop for cancellation tests (armed at a fraction of an
+/// uncontrolled run's time, so the cancel lands while tasks are
+/// writing). The destructor joins, so the token is never touched after
+/// the scope ends.
 class ScopedCancelAfter {
 public:
-  ScopedCancelAfter(CancelToken &Tok, std::chrono::milliseconds Delay)
+  ScopedCancelAfter(CancelToken &Tok, std::chrono::microseconds Delay)
       : Th([&Tok, Delay] {
           std::this_thread::sleep_for(Delay);
           Tok.cancel();

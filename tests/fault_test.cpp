@@ -21,6 +21,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <map>
 #include <memory>
@@ -332,21 +333,28 @@ struct TracingOn {
   }
 };
 
-/// Runs a partitioned ssyrk under the controlled options \p O (a cancel
-/// token or a deadline); \p Start arms the stop just before the run and
-/// returns a scope object that keeps it pending. Checks the typed
-/// status, that tasks ran before the stop and were cut short, that the
-/// output is restored bit for bit, and that the executor then completes
-/// an uncontrolled run with the reference result.
-template <typename StartFn>
-void expectCleanMidRunStop(const ExecOptions &O, ErrCode Code,
-                           const char *Reason, StartFn Start) {
+/// Stops a partitioned ssyrk mid-run. \p Arm turns a delay into the
+/// controlled options (a cancel token or a deadline); \p Start arms the
+/// stop just before the run and returns a scope object that keeps it
+/// pending. The first stop is armed at a quarter of an uncontrolled
+/// run's time. A stop that lands after the run ended halves the delay,
+/// one that lands before any task ran doubles it, and some attempt must
+/// land mid-run: tasks ran and were cut short. Every attempt must leave
+/// the output complete (run finished) or restored bit for bit (typed
+/// status); after the mid-run stop the executor completes an
+/// uncontrolled run with the reference result.
+template <typename ArmFn, typename StartFn>
+void expectCleanMidRunStop(ErrCode Code, const char *Reason, ArmFn Arm,
+                           StartFn Start) {
+  using std::chrono::microseconds;
   TracingOn Trace;
   const int64_t N = 600;
   PartitionedSsyrk F(N);
-  // Uncontrolled reference run: the result and the full loop-call count.
+  // Uncontrolled reference run: the result, the full loop-call count
+  // and the run's time.
   uint64_t FullCalls = 0;
   std::vector<double> Full;
+  microseconds FullTime{0};
   {
     Tensor C = Tensor::dense({N, N});
     C.vals() = F.Before;
@@ -354,52 +362,82 @@ void expectCleanMidRunStop(const ExecOptions &O, ErrCode Code,
     Ex.bind("A", &F.A).bind("C", &C);
     ASSERT_TRUE(Ex.tryPrepare().ok());
     obs::ExecReport Rep;
+    const auto T0 = std::chrono::steady_clock::now();
     ASSERT_TRUE(Ex.tryRunBody(&Rep).ok());
+    FullTime = std::chrono::duration_cast<microseconds>(
+        std::chrono::steady_clock::now() - T0);
     PartitionedSsyrk::expectPartitioned(Rep);
     FullCalls = PartitionedSsyrk::partitionLoopCalls(Rep);
     Full = C.vals();
   }
-  Executor Ex(F.R.Optimized, O);
-  Ex.bind("A", &F.A).bind("C", &F.C);
-  ASSERT_TRUE(Ex.tryPrepare().ok());
-  obs::ExecReport Rep;
-  Status S = [&] {
-    auto Pending = Start();
-    return Ex.tryRunBody(&Rep);
-  }();
-  ASSERT_FALSE(S.ok()) << "the run finished before the stop landed";
-  EXPECT_EQ(S.code(), Code);
-  EXPECT_EQ(Rep.AbortReason, Reason);
-  PartitionedSsyrk::expectPartitioned(Rep);
-  const uint64_t Calls = PartitionedSsyrk::partitionLoopCalls(Rep);
-  EXPECT_GT(Calls, 0u) << "no task ran before the stop";
-  EXPECT_LT(Calls, FullCalls) << "the stop did not cut the run short";
-  EXPECT_TRUE(F.C.vals() == F.Before) << "partial writes not discarded";
-
-  ASSERT_TRUE(
-      Ex.rebind({{"A", &F.A}, {"C", &F.C}}, PartitionedSsyrk::options())
-          .ok());
-  ASSERT_TRUE(Ex.tryRunBody().ok());
-  EXPECT_TRUE(F.C.vals() == Full);
+  microseconds Delay = std::max(FullTime / 4, microseconds(1));
+  bool Landed = false;
+  for (int Attempt = 0; Attempt < 12 && !Landed; ++Attempt) {
+    SCOPED_TRACE("stop after " + std::to_string(Delay.count()) +
+                 " us of a " + std::to_string(FullTime.count()) + " us run");
+    F.C.vals() = F.Before;
+    Executor Ex(F.R.Optimized, Arm(Delay));
+    Ex.bind("A", &F.A).bind("C", &F.C);
+    ASSERT_TRUE(Ex.tryPrepare().ok());
+    obs::ExecReport Rep;
+    Status S = [&] {
+      auto Pending = Start(Delay);
+      return Ex.tryRunBody(&Rep);
+    }();
+    PartitionedSsyrk::expectPartitioned(Rep);
+    if (S.ok()) {
+      EXPECT_TRUE(F.C.vals() == Full);
+      Delay = std::max(Delay / 2, microseconds(1));
+      continue;
+    }
+    EXPECT_EQ(S.code(), Code);
+    EXPECT_EQ(Rep.AbortReason, Reason);
+    EXPECT_TRUE(F.C.vals() == F.Before) << "partial writes not discarded";
+    const uint64_t Calls = PartitionedSsyrk::partitionLoopCalls(Rep);
+    if (Calls == 0) {
+      Delay *= 2;
+      continue;
+    }
+    if (Calls >= FullCalls) {
+      Delay = std::max(Delay / 2, microseconds(1));
+      continue;
+    }
+    Landed = true;
+    ASSERT_TRUE(
+        Ex.rebind({{"A", &F.A}, {"C", &F.C}}, PartitionedSsyrk::options())
+            .ok());
+    ASSERT_TRUE(Ex.tryRunBody().ok());
+    EXPECT_TRUE(F.C.vals() == Full);
+  }
+  EXPECT_TRUE(Landed) << "no stop landed while tasks were running";
 }
 
 } // namespace
 
 TEST(HardenedExecution, CancelMidRunRestoresPartitionedOutput) {
   CancelToken Tok;
-  ExecOptions O = PartitionedSsyrk::options();
-  O.Cancel = &Tok;
-  expectCleanMidRunStop(O, ErrCode::Cancelled, "cancelled", [&Tok] {
-    return std::make_unique<ScopedCancelAfter>(Tok,
-                                               std::chrono::milliseconds(20));
-  });
+  expectCleanMidRunStop(
+      ErrCode::Cancelled, "cancelled",
+      [&Tok](std::chrono::microseconds) {
+        ExecOptions O = PartitionedSsyrk::options();
+        O.Cancel = &Tok;
+        return O;
+      },
+      [&Tok](std::chrono::microseconds Delay) {
+        Tok.reset();
+        return std::make_unique<ScopedCancelAfter>(Tok, Delay);
+      });
 }
 
 TEST(HardenedExecution, DeadlineMidRunRestoresPartitionedOutput) {
-  ExecOptions O = PartitionedSsyrk::options();
-  O.DeadlineMs = 20;
-  expectCleanMidRunStop(O, ErrCode::DeadlineExceeded, "deadline-exceeded",
-                        [] { return 0; });
+  expectCleanMidRunStop(
+      ErrCode::DeadlineExceeded, "deadline-exceeded",
+      [](std::chrono::microseconds Delay) {
+        ExecOptions O = PartitionedSsyrk::options();
+        O.DeadlineMs = std::max<int64_t>(1, Delay.count() / 1000);
+        return O;
+      },
+      [](std::chrono::microseconds) { return 0; });
 }
 
 TEST(HardenedExecution, MemoryBudgetDoesNotDemotePartitionedLoops) {

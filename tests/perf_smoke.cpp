@@ -523,12 +523,14 @@ TEST(PerfSmoke, EpilogueWritesExactlyTheNonCanonicalCells) {
   }
 }
 
-TEST(PerfSmoke, OutputPartitioningFiresOnSsyrkOnly) {
+TEST(PerfSmoke, OutputPartitioningFiresWhereEveryWriteIsInOneLoop) {
   // At four threads both ssyrk nests partition C by its column j: the
   // outer k loops run in every task with j clamped, so nothing is
-  // privatized and the merge phase is exactly zero. ssymv (and every
-  // other paper kernel) keeps its privatized accumulators: its outer
-  // nest writes y[j] outside the i loop.
+  // privatized and the merge phase is exactly zero. ssymv and
+  // bellmanford keep privatized accumulators on their off-diagonal
+  // nest, which writes y[j] outside the i loop; their diagonal nest
+  // writes y[i] only inside the i loop, so it partitions on i. syprd,
+  // ttm and mttkrp3 never partition.
   std::vector<SmokeCase> Cases = makeCases();
   {
     Rng R(20260802);
@@ -554,33 +556,25 @@ TEST(PerfSmoke, OutputPartitioningFiresOnSsyrkOnly) {
     E.prepare();
     E.run();
     const obs::ExecReport &Rep = E.lastReport();
-    unsigned Partitioned = 0, Privatized = 0;
+    std::vector<std::string> Modes;
     uint64_t PrivBytes = 0;
     for (const obs::LoopStat &L : Rep.Loops) {
-      Partitioned += L.Parallel.rfind("partitioned on ", 0) == 0;
-      Privatized += L.Parallel.rfind("privatized ", 0) == 0;
+      if (!L.Parallel.empty())
+        Modes.push_back(L.Parallel);
       PrivBytes += L.PrivBytes;
     }
     if (C.Name == "ssyrk") {
-      EXPECT_EQ(Partitioned, 2u);
-      EXPECT_EQ(Privatized, 0u);
+      EXPECT_EQ(Modes, std::vector<std::string>(2, "partitioned on j"));
       EXPECT_EQ(PrivBytes, 0u);
-      for (const obs::LoopStat &L : Rep.Loops)
-        if (!L.Parallel.empty()) {
-          EXPECT_EQ(L.Parallel, "partitioned on j") << L.Label;
-        }
       EXPECT_EQ(Rep.phaseNs("merge"), 0u);
-    } else {
-      EXPECT_EQ(Partitioned, 0u);
-    }
-    if (C.Name == "ssymv") {
-      EXPECT_EQ(Privatized, 2u);
-      for (const obs::LoopStat &L : Rep.Loops)
-        if (!L.Parallel.empty()) {
-          EXPECT_EQ(L.Parallel, "privatized y") << L.Label;
-          EXPECT_EQ(L.PrivBytes, 4 * C.OutDims[0] * sizeof(double));
-        }
+    } else if (C.Name == "ssymv" || C.Name == "bellmanford") {
+      EXPECT_EQ(Modes, (std::vector<std::string>{"privatized y",
+                                                 "partitioned on i"}));
+      EXPECT_EQ(PrivBytes, 4 * C.OutDims[0] * sizeof(double));
       EXPECT_GT(Rep.phaseNs("merge"), 0u);
+    } else {
+      for (const std::string &M : Modes)
+        EXPECT_EQ(M.rfind("partitioned on ", 0), std::string::npos) << M;
     }
   }
 }
